@@ -1,10 +1,11 @@
 //! Extremal queries over hull summaries (paper §6).
 //!
 //! Every query consumes [`ConvexPolygon`]s produced by any
-//! [`HullSummary`], so exact and approximate
-//! summaries are interchangeable. Costs are `O(r)` (diameter, width,
-//! overlap) or `O(log r)` (directional extent, containment point tests) on
-//! a size-`r` sample, matching the paper's bounds.
+//! [`HullSummary`](crate::summary::HullSummary) through its cached
+//! `hull_ref()`, so exact and approximate summaries are interchangeable.
+//! Costs are `O(r)` (diameter, width, overlap) or `O(log r)` (directional
+//! extent, containment point tests) on a size-`r` sample, matching the
+//! paper's bounds.
 //!
 //! With an adaptive sample of parameter `r`, all *absolute* errors are
 //! `O(D/r²)` where `D` is the diameter (Theorem 5.4); the width/extent
@@ -105,48 +106,6 @@ pub fn supporting_line(hull: &ConvexPolygon, dir: Vec2) -> Option<Line> {
     }
     let v = hull.vertex(locate::extreme_vertex(hull, dir));
     Some(Line::supporting(v, dir))
-}
-
-// ---------------------------------------------------------------------
-// Summary-level entry points: the same queries addressed directly at any
-// summary chosen at runtime. They read the generation-counted cached hull
-// (`hull_ref`), so issuing many queries between insertions costs one hull
-// build, not one per query.
-// ---------------------------------------------------------------------
-
-use crate::summary::HullSummary;
-
-/// [`diameter`] of any summary's current hull. `O(r)`.
-pub fn summary_diameter(summary: &dyn HullSummary) -> Option<(Point2, Point2, f64)> {
-    diameter(summary.hull_ref())
-}
-
-/// [`width`] of any summary's current hull. `O(r)`.
-pub fn summary_width(summary: &dyn HullSummary) -> f64 {
-    width(summary.hull_ref())
-}
-
-/// [`directional_extent`] of any summary's current hull. `O(log r)`.
-pub fn summary_extent(summary: &dyn HullSummary, dir: Vec2) -> f64 {
-    directional_extent(summary.hull_ref(), dir)
-}
-
-/// [`contains_point`] against any summary's current hull. `O(log r)`.
-pub fn summary_contains_point(summary: &dyn HullSummary, q: Point2) -> bool {
-    contains_point(summary.hull_ref(), q)
-}
-
-/// [`min_distance`] between two summarised streams (any kinds). `O(r+s)`.
-pub fn summary_min_distance(a: &dyn HullSummary, b: &dyn HullSummary) -> f64 {
-    min_distance(a.hull_ref(), b.hull_ref())
-}
-
-/// [`separation`] certificate between two summarised streams.
-pub fn summary_separation(
-    a: &dyn HullSummary,
-    b: &dyn HullSummary,
-) -> Option<distance::Separation> {
-    separation(a.hull_ref(), b.hull_ref())
 }
 
 #[cfg(test)]

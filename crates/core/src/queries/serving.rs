@@ -87,7 +87,7 @@ use geom::{calipers, distance, locate, ConvexPolygon, Point2, Vec2};
 
 use crate::batch::incircle;
 use crate::fxhash::FxBuild;
-use crate::telemetry::{names, Counter, Histogram, Telemetry};
+use crate::telemetry::{names, Counter, Histogram, Tally, Telemetry};
 use crate::tenant::{AdmissionError, StreamId, TenantEngine};
 
 /// Number of quantized direction buckets per full turn (see [`QDir`]).
@@ -335,8 +335,6 @@ struct Slot {
 
 struct Instruments {
     answers: [Counter; 5],
-    cache_hits: Counter,
-    cache_misses: Counter,
     latency_ns: Histogram,
     topk_scanned: Counter,
     topk_pruned: Counter,
@@ -356,8 +354,6 @@ impl Instruments {
                 answer(KIND_LABELS[3]),
                 answer(KIND_LABELS[4]),
             ],
-            cache_hits: tel.counter(names::QUERY_CACHE_HITS, &[]),
-            cache_misses: tel.counter(names::QUERY_CACHE_MISSES, &[]),
             latency_ns: tel.histogram(names::QUERY_LATENCY_NS, &[]),
             topk_scanned: tel.counter(names::QUERY_TOPK_SCANNED, &[]),
             topk_pruned: tel.counter(names::QUERY_TOPK_PRUNED, &[]),
@@ -375,8 +371,8 @@ impl Instruments {
 pub struct QueryEngine {
     tenants: TenantEngine,
     cache: HashMap<(StreamId, KindKey), Slot, FxBuild>,
-    hits: u64,
-    misses: u64,
+    hits: Tally,
+    misses: Tally,
     tel: Instruments,
 }
 
@@ -384,13 +380,13 @@ impl QueryEngine {
     /// Wraps `tenants`, inheriting its [`Telemetry`] handle for the query
     /// counters, cache hit/miss counters, and latency histogram.
     pub fn new(tenants: TenantEngine) -> QueryEngine {
-        let tel = Instruments::bind(&tenants.config().telemetry());
+        let telemetry = tenants.config().telemetry();
         QueryEngine {
             tenants,
             cache: HashMap::default(),
-            hits: 0,
-            misses: 0,
-            tel,
+            hits: Tally::new(telemetry.counter(names::QUERY_CACHE_HITS, &[])),
+            misses: Tally::new(telemetry.counter(names::QUERY_CACHE_MISSES, &[])),
+            tel: Instruments::bind(&telemetry),
         }
     }
 
@@ -415,8 +411,8 @@ impl QueryEngine {
     /// [`flush_cache`](QueryEngine::flush_cache) does not reset counts).
     pub fn cache_stats(&self) -> QueryCacheStats {
         QueryCacheStats {
-            hits: self.hits,
-            misses: self.misses,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             entries: self.cache.len(),
         }
     }
@@ -449,8 +445,7 @@ impl QueryEngine {
         if let Some(slot) = self.cache.get(&key) {
             if slot.token == token {
                 let value = slot.value;
-                self.hits += 1;
-                self.tel.cache_hits.inc();
+                self.hits.add(1);
                 if let Some(t) = timer {
                     self.tel.latency_ns.record(t.elapsed().as_nanos() as u64);
                 }
@@ -463,8 +458,7 @@ impl QueryEngine {
         let eps = self.tenants.error_bound(id)?;
         let summary = self.tenants.summary(id)?;
         let value = compute(summary.hull_ref(), eps);
-        self.misses += 1;
-        self.tel.cache_misses.inc();
+        self.misses.add(1);
         self.cache.insert(key, Slot { token, value });
         if let Some(t) = timer {
             self.tel.latency_ns.record(t.elapsed().as_nanos() as u64);

@@ -50,7 +50,7 @@ use crate::exact::ExactHull;
 use crate::parallel::{ShardRun, ShardedIngest};
 use crate::snapshot::{open_checkpoint, seal_checkpoint, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
-use crate::telemetry::{names, Counter, Histogram, Telemetry};
+use crate::telemetry::{names, Counter, Histogram, Tally, Telemetry};
 use crate::window::{WindowConfig, WindowedRun, WindowedSummary};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
@@ -1248,10 +1248,9 @@ enum Pulled<S> {
     Dead,
 }
 
-/// The supervisor's registered instruments. Every counter is bumped at
-/// exactly the code site that bumps the matching [`RecoveryReport`]
-/// tally, so a live scrape and the post-run report can be cross-checked
-/// for equality (pinned by `tests/telemetry.rs`).
+/// The supervisor's registered instruments that have no
+/// [`RecoveryReport`] tally of their own; the report tallies are
+/// [`Tally`] cells on [`SupervisorCore`], each its own counter.
 #[derive(Clone, Copy)]
 struct RecoveryInstruments {
     tel: Telemetry,
@@ -1259,13 +1258,6 @@ struct RecoveryInstruments {
     faults_stall: Counter,
     faults_corrupt: Counter,
     faults_non_finite: Counter,
-    checkpoints_taken: Counter,
-    checkpoints_rejected: Counter,
-    replayed_chunks: Counter,
-    replayed_points: Counter,
-    lost_points: Counter,
-    dropped_non_finite: Counter,
-    injected_non_finite: Counter,
     decode_ns: Histogram,
 }
 
@@ -1277,14 +1269,6 @@ impl RecoveryInstruments {
             faults_stall: tel.counter(names::RECOVERY_FAULTS, &[("kind", "stall")]),
             faults_corrupt: tel.counter(names::RECOVERY_FAULTS, &[("kind", "corrupt_checkpoint")]),
             faults_non_finite: tel.counter(names::RECOVERY_FAULTS, &[("kind", "non_finite")]),
-            checkpoints_taken: tel.counter(names::RECOVERY_CHECKPOINTS, &[("outcome", "taken")]),
-            checkpoints_rejected: tel
-                .counter(names::RECOVERY_CHECKPOINTS, &[("outcome", "rejected")]),
-            replayed_chunks: tel.counter(names::RECOVERY_REPLAYED_CHUNKS, &[]),
-            replayed_points: tel.counter(names::RECOVERY_REPLAYED_POINTS, &[]),
-            lost_points: tel.counter(names::RECOVERY_LOST_POINTS, &[]),
-            dropped_non_finite: tel.counter(names::RECOVERY_DROPPED_NON_FINITE, &[]),
-            injected_non_finite: tel.counter(names::RECOVERY_INJECTED_NON_FINITE, &[]),
             decode_ns: tel.histogram(names::CHECKPOINT_DECODE_NS, &[]),
         }
     }
@@ -1312,15 +1296,15 @@ struct SupervisorCore<'e, F: ShardFactory> {
     mode: Mode,
     shards: Vec<ShardCtx<F>>,
     events: Vec<FaultEvent>,
-    lost_points: u64,
+    lost_points: Tally,
     lost_hull: ExactHull,
     lost_unbounded: bool,
-    dropped_non_finite: u64,
-    injected_non_finite: u64,
-    replayed_chunks: u64,
-    replayed_points: u64,
-    checkpoints_taken: u64,
-    checkpoints_rejected: u64,
+    dropped_non_finite: Tally,
+    injected_non_finite: Tally,
+    replayed_chunks: Tally,
+    replayed_points: Tally,
+    checkpoints_taken: Tally,
+    checkpoints_rejected: Tally,
     inst: RecoveryInstruments,
     worker_inst: WorkerInstruments,
 }
@@ -1337,6 +1321,8 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         max_replay: usize,
         mode: Mode,
     ) -> Self {
+        let tel = engine.telemetry();
+        let tally = |name, labels: &[(&'static str, &str)]| Tally::new(tel.counter(name, labels));
         SupervisorCore {
             factory,
             engine,
@@ -1348,20 +1334,17 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             mode,
             shards: (0..engine.shards()).map(|_| ShardCtx::new()).collect(),
             events: Vec::new(),
-            lost_points: 0,
+            lost_points: tally(names::RECOVERY_LOST_POINTS, &[]),
             lost_hull: ExactHull::new(),
             lost_unbounded: false,
-            dropped_non_finite: 0,
-            injected_non_finite: 0,
-            replayed_chunks: 0,
-            replayed_points: 0,
-            checkpoints_taken: 0,
-            checkpoints_rejected: 0,
-            inst: RecoveryInstruments::register(engine.telemetry()),
-            worker_inst: WorkerInstruments::register(
-                engine.telemetry(),
-                engine.builder().kind().label(),
-            ),
+            dropped_non_finite: tally(names::RECOVERY_DROPPED_NON_FINITE, &[]),
+            injected_non_finite: tally(names::RECOVERY_INJECTED_NON_FINITE, &[]),
+            replayed_chunks: tally(names::RECOVERY_REPLAYED_CHUNKS, &[]),
+            replayed_points: tally(names::RECOVERY_REPLAYED_POINTS, &[]),
+            checkpoints_taken: tally(names::RECOVERY_CHECKPOINTS, &[("outcome", "taken")]),
+            checkpoints_rejected: tally(names::RECOVERY_CHECKPOINTS, &[("outcome", "rejected")]),
+            inst: RecoveryInstruments::register(tel),
+            worker_inst: WorkerInstruments::register(tel, engine.builder().kind().label()),
         }
     }
 
@@ -1403,8 +1386,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             for _ in 0..len {
                 items.push(F::poison());
             }
-            self.injected_non_finite += len as u64;
-            self.inst.injected_non_finite.add(len as u64);
+            self.injected_non_finite.add(len as u64);
             self.inst.tel.event(
                 "recovery",
                 "inject_non_finite",
@@ -1600,8 +1582,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 let fresh = self.shards[shard].drop_tallied.is_none_or(|w| seq > w);
                 if dropped > 0 && fresh {
                     self.shards[shard].drop_tallied = Some(seq);
-                    self.dropped_non_finite += dropped;
-                    self.inst.dropped_non_finite.add(dropped);
+                    self.dropped_non_finite.add(dropped);
                     self.inst.faults_non_finite.inc();
                     self.shards[shard].faults += 1;
                     self.events.push(FaultEvent {
@@ -1635,8 +1616,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         tick: u64,
         inner: &[u8],
     ) -> Result<(), (u64, Detected)> {
-        self.checkpoints_taken += 1;
-        self.inst.checkpoints_taken.inc();
+        self.checkpoints_taken.add(1);
         let ordinal = {
             let ctx = &mut self.shards[shard];
             ctx.checkpoint_ordinal += 1;
@@ -1670,8 +1650,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 Ok(())
             }
             Err(e) => {
-                self.checkpoints_rejected += 1;
-                self.inst.checkpoints_rejected.inc();
+                self.checkpoints_rejected.add(1);
                 self.shards[shard].checkpoints_rejected += 1;
                 Err((seq, Detected::BadCheckpoint(e)))
             }
@@ -1712,8 +1691,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                     // Unreachable in practice (validation restored it
                     // once already); degrade honestly if it happens: the
                     // checkpointed prefix is lost with no geometry.
-                    self.lost_points += cp.tick;
-                    self.inst.lost_points.add(cp.tick);
+                    self.lost_points.add(cp.tick);
                     self.lost_unbounded = true;
                     self.shards[shard].lost += cp.tick;
                     self.factory.fresh()
@@ -1814,8 +1792,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         // moment a fault needs them: account them as lost, traceless.
         let overflow = std::mem::take(&mut self.shards[shard].overflow_points);
         if overflow > 0 {
-            self.lost_points += overflow;
-            self.inst.lost_points.add(overflow);
+            self.lost_points.add(overflow);
             self.shards[shard].lost += overflow;
             self.lost_unbounded = true;
         }
@@ -1844,10 +1821,8 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             ctx.replayed += chunks;
             (from_tick, chunks, points)
         };
-        self.replayed_chunks += replay_chunks;
-        self.replayed_points += replay_points;
-        self.inst.replayed_chunks.add(replay_chunks);
-        self.inst.replayed_points.add(replay_points);
+        self.replayed_chunks.add(replay_chunks);
+        self.replayed_points.add(replay_points);
         let backoff = self.policy.backoff(shard, self.shards[shard].attempts);
         self.events.push(FaultEvent {
             shard,
@@ -1880,11 +1855,11 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
             ctx.sent = 0;
             ctx.buffer.drain(..).map(|b| b.items).collect()
         };
-        let before = self.lost_points;
+        let before = self.lost_points.get();
         for items in &buffered {
             self.account_lost(shard, items);
         }
-        let lost_now = self.lost_points - before;
+        let lost_now = self.lost_points.get() - before;
         self.events.push(FaultEvent {
             shard,
             chunk: seq,
@@ -1912,8 +1887,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 self.lost_hull.insert(p);
             }
         }
-        self.lost_points += finite;
-        self.inst.lost_points.add(finite);
+        self.lost_points.add(finite);
         self.shards[shard].lost += finite;
     }
 
@@ -2016,8 +1990,7 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
                 Ok(state) => state,
                 Err(_) => {
                     // Unreachable in practice; degrade honestly.
-                    self.lost_points += cp.tick;
-                    self.inst.lost_points.add(cp.tick);
+                    self.lost_points.add(cp.tick);
                     self.lost_unbounded = true;
                     self.shards[shard].lost += cp.tick;
                     self.factory.fresh()
@@ -2054,13 +2027,13 @@ impl<'e, F: ShardFactory> SupervisorCore<'e, F> {
         RecoveryReport {
             shards,
             events: self.events,
-            lost_points: self.lost_points,
-            dropped_non_finite: self.dropped_non_finite,
-            injected_non_finite: self.injected_non_finite,
-            replayed_chunks: self.replayed_chunks,
-            replayed_points: self.replayed_points,
-            checkpoints_taken: self.checkpoints_taken,
-            checkpoints_rejected: self.checkpoints_rejected,
+            lost_points: self.lost_points.get(),
+            dropped_non_finite: self.dropped_non_finite.get(),
+            injected_non_finite: self.injected_non_finite.get(),
+            replayed_chunks: self.replayed_chunks.get(),
+            replayed_points: self.replayed_points.get(),
+            checkpoints_taken: self.checkpoints_taken.get(),
+            checkpoints_rejected: self.checkpoints_rejected.get(),
             lost_unbounded: self.lost_unbounded,
             lost_hull: self.lost_hull,
         }

@@ -327,6 +327,59 @@ impl fmt::Debug for Histogram {
     }
 }
 
+/// A report tally that is also its telemetry counter: the one storage
+/// cell behind a ledger field, so the scrape equals the report by
+/// construction. Only ever grows. Deliberately not `Clone` — a copy
+/// would publish the same increment twice.
+#[derive(Debug)]
+pub(crate) struct Tally {
+    value: u64,
+    counter: Counter,
+}
+
+impl Tally {
+    pub(crate) fn new(counter: Counter) -> Self {
+        Tally { value: 0, counter }
+    }
+
+    #[inline]
+    pub(crate) fn add(&mut self, n: u64) {
+        self.value += n;
+        self.counter.add(n);
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        self.value
+    }
+}
+
+/// A report level that is also its telemetry gauge. [`Level::set`]
+/// publishes the *delta*, so engines sharing one registry (a sharded
+/// fleet) sum to the fleet level. Not `Clone`, like [`Tally`].
+#[derive(Debug)]
+pub(crate) struct Level {
+    value: usize,
+    gauge: Gauge,
+}
+
+impl Level {
+    pub(crate) fn new(gauge: Gauge) -> Self {
+        Level { value: 0, gauge }
+    }
+
+    #[inline]
+    pub(crate) fn set(&mut self, v: usize) {
+        self.gauge.add(v as i64 - self.value as i64);
+        self.value = v;
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> usize {
+        self.value
+    }
+}
+
 /// The observability handle threaded through the engines.
 ///
 /// `Copy` and cheap to pass by value; [`Telemetry::disabled`] (also the
@@ -1171,6 +1224,27 @@ mod tests {
         }
         assert!(out.contains("\"k\":\"v\\\"q\""));
         assert!(out.contains("\"fields\":{\"f\":-2}"));
+    }
+
+    #[test]
+    fn ledger_cells_are_their_instruments_and_levels_sum_across_owners() {
+        let tel = Telemetry::new();
+        let mut a = Tally::new(tel.counter("t_total", &[]));
+        let mut b = Tally::new(tel.counter("t_total", &[]));
+        a.add(3);
+        b.add(4);
+        assert_eq!((a.get(), b.get()), (3, 4));
+        // Two engines sharing one registry: the gauge holds the sum of
+        // their levels through every set, up or down.
+        let mut x = Level::new(tel.gauge("lvl", &[]));
+        let mut y = Level::new(tel.gauge("lvl", &[]));
+        x.set(10);
+        y.set(5);
+        x.set(2);
+        let s = tel.scrape();
+        assert_eq!(s.counter_total("t_total"), 7);
+        assert_eq!(s.gauge_value("lvl"), Some(7));
+        assert_eq!((x.get(), y.get()), (2, 5));
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::radial::RadialHull;
 use crate::recovery::{RecoveryReport, SupervisedIngest};
 use crate::snapshot::{peek_kind, Snapshot, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
-use crate::telemetry::{names, Counter, Gauge, Telemetry};
+use crate::telemetry::{names, Level, Tally, Telemetry};
 use geom::{ConvexPolygon, Point2, Vec2};
 use std::collections::HashMap;
 use std::fmt;
@@ -248,7 +248,11 @@ pub struct PressureReport {
     pub budget_bytes: usize,
     /// Accounted bytes at the time the report was taken.
     pub bytes_in_use: usize,
-    /// High-water mark of accounted bytes.
+    /// High-water mark of accounted bytes. In a fleet report
+    /// ([`ShardedTenants::pressure_report`]) and in a registry shared by
+    /// several engines, this is the sum of per-shard high-water marks: an
+    /// upper bound on the fleet's peak, not the peak itself, since the
+    /// shards need not peak at the same moment.
     pub bytes_peak: usize,
     /// Streams ever admitted.
     pub streams_admitted: u64,
@@ -418,8 +422,9 @@ impl TenantConfig {
     }
 
     /// Attaches a [`Telemetry`] registry: every [`PressureReport`] tally
-    /// is mirrored into `streamhull_tenant_*` counters/gauges (see
-    /// [`crate::telemetry::names`]) and every pressure event is emitted
+    /// is published as a `streamhull_tenant_*` counter/gauge (see
+    /// [`crate::telemetry::names`]) from the same cell the report reads,
+    /// and every pressure event is emitted
     /// into the trace ring with the engine clock as its tick.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
@@ -452,92 +457,92 @@ impl TenantConfig {
     }
 }
 
-/// Registered handles mirroring every [`PressureReport`] tally — one
-/// registration at engine construction, relaxed atomic adds afterwards.
-#[derive(Clone, Copy, Debug)]
-struct TenantInstruments {
-    tel: Telemetry,
-    streams_admitted: Counter,
-    streams_rejected: Counter,
-    points_seen: Counter,
-    points_ingested: Counter,
-    points_shed: Counter,
-    points_rejected: Counter,
-    evictions: Counter,
-    degradations: Counter,
-    quarantines: Counter,
-    spills: Counter,
-    restores: Counter,
-    spilled_bytes: Counter,
-    events_dropped: Counter,
-    bytes_in_use: Gauge,
-    bytes_peak: Gauge,
-    hot_streams: Gauge,
-    cold_streams: Gauge,
-    quarantined_streams: Gauge,
+/// The governor's ledger. Every tally and level is stored once, in a
+/// cell that is also its telemetry instrument, so a scrape taken at any
+/// moment equals the [`PressureReport`] a caller would take then. No
+/// tally ever decrements: a Reject-policy write counts its points and
+/// its stream's admission only once the budget has settled, and a
+/// rollback only adds to `points_rejected`.
+#[derive(Debug)]
+struct Ledger {
+    streams_admitted: Tally,
+    streams_rejected: Tally,
+    streams_shed: Tally,
+    streams_degraded: Tally,
+    streams_quarantined: Tally,
+    points_seen: Tally,
+    points_ingested: Tally,
+    points_shed: Tally,
+    points_rejected: Tally,
+    spills: Tally,
+    restores: Tally,
+    spilled_bytes: Tally,
+    events_dropped: Tally,
+    bytes_in_use: Level,
+    bytes_peak: Level,
+    hot: Level,
+    cold: Level,
+    quarantined: Level,
 }
 
-impl TenantInstruments {
+impl Ledger {
     fn register(tel: Telemetry) -> Self {
-        TenantInstruments {
-            tel,
-            streams_admitted: tel.counter(names::TENANT_STREAMS, &[("outcome", "admitted")]),
-            streams_rejected: tel.counter(names::TENANT_STREAMS, &[("outcome", "rejected")]),
-            points_seen: tel.counter(names::TENANT_POINTS_SEEN, &[]),
-            points_ingested: tel.counter(names::TENANT_POINTS_INGESTED, &[]),
-            points_shed: tel.counter(names::TENANT_POINTS_SHED, &[]),
-            points_rejected: tel.counter(names::TENANT_POINTS_REJECTED, &[]),
-            evictions: tel.counter(names::TENANT_EVICTIONS, &[]),
-            degradations: tel.counter(names::TENANT_DEGRADATIONS, &[]),
-            quarantines: tel.counter(names::TENANT_QUARANTINES, &[]),
-            spills: tel.counter(names::TENANT_TIER_OPS, &[("kind", "spill")]),
-            restores: tel.counter(names::TENANT_TIER_OPS, &[("kind", "restore")]),
-            spilled_bytes: tel.counter(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
-            events_dropped: tel.counter(names::TENANT_EVENTS_DROPPED, &[]),
-            bytes_in_use: tel.gauge(names::TENANT_BYTES_IN_USE, &[]),
-            bytes_peak: tel.gauge(names::TENANT_BYTES_PEAK, &[]),
-            hot_streams: tel.gauge(names::TENANT_HOT_STREAMS, &[]),
-            cold_streams: tel.gauge(names::TENANT_COLD_STREAMS, &[]),
-            quarantined_streams: tel.gauge(names::TENANT_QUARANTINED_STREAMS, &[]),
+        let tally = |name, labels: &[(&'static str, &str)]| Tally::new(tel.counter(name, labels));
+        let level = |name| Level::new(tel.gauge(name, &[]));
+        Ledger {
+            streams_admitted: tally(names::TENANT_STREAMS, &[("outcome", "admitted")]),
+            streams_rejected: tally(names::TENANT_STREAMS, &[("outcome", "rejected")]),
+            streams_shed: tally(names::TENANT_EVICTIONS, &[]),
+            streams_degraded: tally(names::TENANT_DEGRADATIONS, &[]),
+            streams_quarantined: tally(names::TENANT_QUARANTINES, &[]),
+            points_seen: tally(names::TENANT_POINTS_SEEN, &[]),
+            points_ingested: tally(names::TENANT_POINTS_INGESTED, &[]),
+            points_shed: tally(names::TENANT_POINTS_SHED, &[]),
+            points_rejected: tally(names::TENANT_POINTS_REJECTED, &[]),
+            spills: tally(names::TENANT_TIER_OPS, &[("kind", "spill")]),
+            restores: tally(names::TENANT_TIER_OPS, &[("kind", "restore")]),
+            spilled_bytes: tally(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
+            events_dropped: tally(names::TENANT_EVENTS_DROPPED, &[]),
+            bytes_in_use: level(names::TENANT_BYTES_IN_USE),
+            bytes_peak: level(names::TENANT_BYTES_PEAK),
+            hot: level(names::TENANT_HOT_STREAMS),
+            cold: level(names::TENANT_COLD_STREAMS),
+            quarantined: level(names::TENANT_QUARANTINED_STREAMS),
+        }
+    }
+
+    /// The stream-count level of `tier`.
+    fn tier_mut(&mut self, tier: Tier) -> &mut Level {
+        match tier {
+            Tier::Hot => &mut self.hot,
+            Tier::Cold => &mut self.cold,
+            Tier::Quarantined => &mut self.quarantined,
         }
     }
 }
 
-/// Report values already published to the telemetry registry.
-///
-/// Counters are monotone but the Reject-policy rollback paths
-/// (`unwrite` / `forget_admission`) *decrement* report tallies mid-call,
-/// so the engine cannot mirror the ledger site-by-site. Instead it
-/// publishes **deltas against this shadow** at the end of every public
-/// mutating call — a point where each report field is at or above its
-/// last published value again — which keeps every scrape exactly equal
-/// to the [`PressureReport`] a caller would take at the same moment.
-#[derive(Clone, Copy, Debug, Default)]
-struct PublishedTallies {
-    streams_admitted: u64,
-    streams_rejected: u64,
-    streams_shed: u64,
-    streams_degraded: u64,
-    streams_quarantined: u64,
-    points_seen: u64,
-    points_ingested: u64,
-    points_shed: u64,
-    points_rejected: u64,
-    spills: u64,
-    restores: u64,
-    spilled_bytes: u64,
-    events_dropped: u64,
-    bytes_in_use: i64,
-    bytes_peak: i64,
-    hot: i64,
-    cold: i64,
-    quarantined: i64,
+/// A Reject-policy write's undo record: the tenant's pre-write envelope
+/// and per-tenant counts.
+struct Undo {
+    envelope: Vec<u8>,
+    seen: u64,
+    ingested: u64,
 }
 
 enum Residency {
     Hot(Box<dyn Mergeable + Send + Sync>),
     Cold(Vec<u8>),
     Quarantined(SnapshotError),
+}
+
+impl Residency {
+    fn tier(&self) -> Tier {
+        match self {
+            Residency::Hot(_) => Tier::Hot,
+            Residency::Cold(_) => Tier::Cold,
+            Residency::Quarantined(_) => Tier::Quarantined,
+        }
+    }
 }
 
 impl fmt::Debug for Residency {
@@ -596,23 +601,14 @@ pub struct TenantEngine {
     clock: u64,
     /// Source of [`Tenant::epoch`] stamps; see that field for the contract.
     next_epoch: u64,
-    bytes_in_use: usize,
-    hot: usize,
-    cold: usize,
-    quarantined: usize,
-    report: PressureReport,
-    inst: TenantInstruments,
-    published: PublishedTallies,
+    ledger: Ledger,
+    /// The bounded [`PressureReport::events`] log.
+    events: Vec<PressureEvent>,
 }
 
 impl TenantEngine {
     /// Creates an engine from its configuration.
     pub fn new(config: TenantConfig) -> Self {
-        let mut report = PressureReport {
-            budget_bytes: config.budget_bytes,
-            ..PressureReport::default()
-        };
-        report.events.reserve(config.event_capacity.min(4096));
         TenantEngine {
             config,
             slots: Vec::new(),
@@ -622,13 +618,8 @@ impl TenantEngine {
             sectors: HashMap::new(),
             clock: 0,
             next_epoch: 0,
-            bytes_in_use: 0,
-            hot: 0,
-            cold: 0,
-            quarantined: 0,
-            report,
-            inst: TenantInstruments::register(config.telemetry),
-            published: PublishedTallies::default(),
+            ledger: Ledger::register(config.telemetry),
+            events: Vec::with_capacity(config.event_capacity.min(4096)),
         }
     }
 
@@ -649,23 +640,23 @@ impl TenantEngine {
 
     /// Hot (live in memory) streams.
     pub fn hot_count(&self) -> usize {
-        self.hot
+        self.ledger.hot.get()
     }
 
     /// Cold (spilled) streams.
     pub fn cold_count(&self) -> usize {
-        self.cold
+        self.ledger.cold.get()
     }
 
     /// Quarantined streams.
     pub fn quarantined_count(&self) -> usize {
-        self.quarantined
+        self.ledger.quarantined.get()
     }
 
     /// Accounted bytes across all tenants (hot summaries at
     /// `approx_bytes`, cold envelopes at their length).
     pub fn bytes_in_use(&self) -> usize {
-        self.bytes_in_use
+        self.ledger.bytes_in_use.get()
     }
 
     /// The engine clock (advanced by [`tick`](Self::tick) and once per
@@ -687,12 +678,7 @@ impl TenantEngine {
 
     /// Current tier of `id`, if registered.
     pub fn tier(&self, id: StreamId) -> Option<Tier> {
-        let t = self.tenant(id)?;
-        Some(match t.residency {
-            Residency::Hot(_) => Tier::Hot,
-            Residency::Cold(_) => Tier::Cold,
-            Residency::Quarantined(_) => Tier::Quarantined,
-        })
+        Some(self.tenant(id)?.residency.tier())
     }
 
     /// Per-tenant counters, if registered.
@@ -700,11 +686,7 @@ impl TenantEngine {
         let t = self.tenant(id)?;
         Some(TenantStats {
             stream: t.id,
-            tier: match t.residency {
-                Residency::Hot(_) => Tier::Hot,
-                Residency::Cold(_) => Tier::Cold,
-                Residency::Quarantined(_) => Tier::Quarantined,
-            },
+            tier: t.residency.tier(),
             bytes: t.bytes,
             seen: t.seen,
             ingested: t.ingested,
@@ -714,12 +696,29 @@ impl TenantEngine {
         })
     }
 
-    /// The report so far, with the live byte gauges filled in.
+    /// The report so far: a view of the engine's ledger, which is also
+    /// what its telemetry registry publishes.
     pub fn pressure_report(&self) -> PressureReport {
-        let mut r = self.report.clone();
-        r.bytes_in_use = self.bytes_in_use;
-        r.budget_bytes = self.config.budget_bytes;
-        r
+        let l = &self.ledger;
+        PressureReport {
+            budget_bytes: self.config.budget_bytes,
+            bytes_in_use: l.bytes_in_use.get(),
+            bytes_peak: l.bytes_peak.get(),
+            streams_admitted: l.streams_admitted.get(),
+            streams_rejected: l.streams_rejected.get(),
+            streams_shed: l.streams_shed.get(),
+            streams_degraded: l.streams_degraded.get(),
+            streams_quarantined: l.streams_quarantined.get(),
+            points_seen: l.points_seen.get(),
+            points_ingested: l.points_ingested.get(),
+            points_shed: l.points_shed.get(),
+            points_rejected: l.points_rejected.get(),
+            spills: l.spills.get(),
+            restores: l.restores.get(),
+            spilled_bytes: l.spilled_bytes.get(),
+            events: self.events.clone(),
+            events_dropped: l.events_dropped.get(),
+        }
     }
 
     /// Feeds one point (registering the stream if new). Non-finite points
@@ -747,8 +746,7 @@ impl TenantEngine {
             match self.config.policy {
                 OverloadPolicy::Reject => {
                     // The whole batch is refused atomically.
-                    self.report.points_rejected += traffic.len() as u64;
-                    self.sync_telemetry();
+                    self.ledger.points_rejected.add(traffic.len() as u64);
                     return Err(AdmissionError::QueueFull {
                         offered: traffic.len(),
                         capacity: cap,
@@ -799,7 +797,6 @@ impl TenantEngine {
             }
         }
         self.clock += 1;
-        self.sync_telemetry();
         Ok(())
     }
 
@@ -825,18 +822,15 @@ impl TenantEngine {
         for idx in victims {
             self.spill_slot(idx);
         }
-        self.sync_telemetry();
     }
 
     /// Spills one stream to its snapshot envelope now (idempotent; `false`
     /// if unknown or not hot).
     pub fn spill(&mut self, id: StreamId) -> bool {
-        let spilled = match self.index.get(&id) {
+        match self.index.get(&id) {
             Some(&idx) => self.spill_slot_inner(idx, true),
             None => false,
-        };
-        self.sync_telemetry();
-        spilled
+        }
     }
 
     /// The spilled envelope of a cold stream (`None` when hot, unknown, or
@@ -886,10 +880,10 @@ impl TenantEngine {
         };
         match &mut t.residency {
             Residency::Cold(bytes) if bytes.len() > len => {
-                self.bytes_in_use -= bytes.len() - len;
+                let before = bytes.len();
                 t.bytes = len;
                 bytes.truncate(len);
-                self.sync_telemetry();
+                self.account_bytes(before, len);
                 true
             }
             _ => false,
@@ -900,9 +894,7 @@ impl TenantEngine {
     /// cold (bit-exact) and touching its idle clock.
     pub fn summary(&mut self, id: StreamId) -> Result<&dyn HullSummary, AdmissionError> {
         let idx = self.lookup(id)?;
-        let hot = self.make_hot(idx);
-        self.sync_telemetry();
-        hot?;
+        self.make_hot(idx)?;
         self.touch(idx);
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(Tenant {
@@ -925,9 +917,8 @@ impl TenantEngine {
     /// replacement of the summary *object* (cold→hot restore, write
     /// rollback, degradation, re-admission after eviction) advances the
     /// epoch — so a restarted generation counter can never alias a stale
-    /// token. The hot path is a plain index lookup (no restore, no
-    /// telemetry flush); a cold stream is restored first, which itself
-    /// bumps the epoch.
+    /// token. The hot path is a plain index lookup (no restore); a cold
+    /// stream is restored first, which itself bumps the epoch.
     pub fn query_token(&mut self, id: StreamId) -> Result<(u64, u64), AdmissionError> {
         let idx = self.lookup(id)?;
         if let Some(Some(Tenant {
@@ -940,9 +931,7 @@ impl TenantEngine {
             self.touch(idx);
             return Ok(token);
         }
-        let hot = self.make_hot(idx);
-        self.sync_telemetry();
-        hot?;
+        self.make_hot(idx)?;
         self.touch(idx);
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(Tenant {
@@ -960,9 +949,7 @@ impl TenantEngine {
     /// never invents one).
     pub fn error_bound(&mut self, id: StreamId) -> Result<Option<f64>, AdmissionError> {
         let idx = self.lookup(id)?;
-        let hot = self.make_hot(idx);
-        self.sync_telemetry();
-        hot?;
+        self.make_hot(idx)?;
         match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(t) => {
                 if t.bound_withdrawn {
@@ -1013,10 +1000,7 @@ impl TenantEngine {
         let bound = run.error_bound();
         let lost = run.report.lost_points;
         self.absorb(id, &*run.run.summary, bound)?;
-        if lost > 0 {
-            self.shed_points(id, lost);
-            self.sync_telemetry();
-        }
+        self.shed_points(id, lost);
         Ok(run.report)
     }
 
@@ -1030,18 +1014,8 @@ impl TenantEngine {
         donor: &dyn Mergeable,
         donor_bound: Option<f64>,
     ) -> Result<(), AdmissionError> {
-        let result = self.absorb_inner(id, donor, donor_bound);
-        self.sync_telemetry();
-        result
-    }
-
-    fn absorb_inner(
-        &mut self,
-        id: StreamId,
-        donor: &dyn Mergeable,
-        donor_bound: Option<f64>,
-    ) -> Result<(), AdmissionError> {
-        let idx = self.admit(id)?;
+        let (idx, fresh) = self.admit(id)?;
+        self.ledger.streams_admitted.add(u64::from(fresh));
         self.make_hot(idx)?;
         let Some(Some(t)) = self.slots.get_mut(idx) else {
             return Err(AdmissionError::UnknownStream { stream: id });
@@ -1050,17 +1024,17 @@ impl TenantEngine {
             let before = t.bytes;
             s.merge_from(donor);
             let after = s.approx_bytes();
+            let seen = donor.points_seen();
             t.bytes = after;
-            t.seen += donor.points_seen();
-            t.ingested += donor.points_seen();
+            t.seen += seen;
+            t.ingested += seen;
             match donor_bound {
                 Some(b) => t.carried_bound += b,
                 None => t.bound_withdrawn = true,
             }
-            self.bytes_in_use = self.bytes_in_use + after - before;
-            self.report.points_seen += donor.points_seen();
-            self.report.points_ingested += donor.points_seen();
-            self.note_peak();
+            self.account_bytes(before, after);
+            self.ledger.points_seen.add(seen);
+            self.ledger.points_ingested.add(seen);
         }
         self.touch(idx);
         self.enforce_budget(Some(idx))
@@ -1071,15 +1045,6 @@ impl TenantEngine {
     /// cloned via a snapshot round-trip, so the tracker is independent of
     /// the engine; streams are named by their decimal id.
     pub fn export_tracker(
-        &mut self,
-        ids: &[StreamId],
-    ) -> Result<MultiStreamTracker, AdmissionError> {
-        let result = self.export_tracker_inner(ids);
-        self.sync_telemetry();
-        result
-    }
-
-    fn export_tracker_inner(
         &mut self,
         ids: &[StreamId],
     ) -> Result<MultiStreamTracker, AdmissionError> {
@@ -1105,22 +1070,12 @@ impl TenantEngine {
     /// Drops a stream entirely (any tier — including quarantined, which is
     /// how an operator clears a poisoned tenant). Returns its final stats.
     pub fn remove(&mut self, id: StreamId) -> Option<TenantStats> {
-        let stats = self.remove_inner(id);
-        self.sync_telemetry();
-        stats
-    }
-
-    fn remove_inner(&mut self, id: StreamId) -> Option<TenantStats> {
         let stats = self.stats(id)?;
         let idx = self.index.remove(&id)?;
         if let Some(slot) = self.slots.get_mut(idx) {
             if let Some(t) = slot.take() {
-                self.bytes_in_use -= t.bytes;
-                match t.residency {
-                    Residency::Hot(_) => self.hot -= 1,
-                    Residency::Cold(_) => self.cold -= 1,
-                    Residency::Quarantined(_) => self.quarantined -= 1,
-                }
+                self.account_bytes(t.bytes, 0);
+                self.retier(Some(t.residency.tier()), None);
             }
             self.free.push(idx);
         }
@@ -1141,9 +1096,28 @@ impl TenantEngine {
             .ok_or(AdmissionError::UnknownStream { stream: id })
     }
 
-    fn note_peak(&mut self) {
-        if self.bytes_in_use > self.report.bytes_peak {
-            self.report.bytes_peak = self.bytes_in_use;
+    /// Re-accounts one tenant footprint going from `before` to `after`
+    /// bytes, raising the high-water mark if the total passes it.
+    fn account_bytes(&mut self, before: usize, after: usize) {
+        let total = self.ledger.bytes_in_use.get() + after - before;
+        self.ledger.bytes_in_use.set(total);
+        if total > self.ledger.bytes_peak.get() {
+            self.ledger.bytes_peak.set(total);
+        }
+    }
+
+    /// Moves one tenant between tier levels (`None`: not registered).
+    fn retier(&mut self, from: Option<Tier>, to: Option<Tier>) {
+        if from == to {
+            return;
+        }
+        if let Some(tier) = from {
+            let level = self.ledger.tier_mut(tier);
+            level.set(level.get() - 1);
+        }
+        if let Some(tier) = to {
+            let level = self.ledger.tier_mut(tier);
+            level.set(level.get() + 1);
         }
     }
 
@@ -1162,76 +1136,11 @@ impl TenantEngine {
         e
     }
 
-    /// Publishes the report tallies to the telemetry registry as deltas
-    /// against [`PublishedTallies`] (see its docs for why deltas, not
-    /// per-site bumps). Called at the end of every public mutating call;
-    /// `saturating_sub` keeps an out-of-order call harmless (it publishes
-    /// nothing rather than underflowing).
-    fn sync_telemetry(&mut self) {
-        if !self.inst.tel.is_enabled() {
-            return;
-        }
-        let inst = self.inst;
-        let r = &self.report;
-        let p = &mut self.published;
-        inst.streams_admitted
-            .add(r.streams_admitted.saturating_sub(p.streams_admitted));
-        inst.streams_rejected
-            .add(r.streams_rejected.saturating_sub(p.streams_rejected));
-        inst.evictions
-            .add(r.streams_shed.saturating_sub(p.streams_shed));
-        inst.degradations
-            .add(r.streams_degraded.saturating_sub(p.streams_degraded));
-        inst.quarantines
-            .add(r.streams_quarantined.saturating_sub(p.streams_quarantined));
-        inst.points_seen
-            .add(r.points_seen.saturating_sub(p.points_seen));
-        inst.points_ingested
-            .add(r.points_ingested.saturating_sub(p.points_ingested));
-        inst.points_shed
-            .add(r.points_shed.saturating_sub(p.points_shed));
-        inst.points_rejected
-            .add(r.points_rejected.saturating_sub(p.points_rejected));
-        inst.spills.add(r.spills.saturating_sub(p.spills));
-        inst.restores.add(r.restores.saturating_sub(p.restores));
-        inst.spilled_bytes
-            .add(r.spilled_bytes.saturating_sub(p.spilled_bytes));
-        inst.events_dropped
-            .add(r.events_dropped.saturating_sub(p.events_dropped));
-        p.streams_admitted = r.streams_admitted;
-        p.streams_rejected = r.streams_rejected;
-        p.streams_shed = r.streams_shed;
-        p.streams_degraded = r.streams_degraded;
-        p.streams_quarantined = r.streams_quarantined;
-        p.points_seen = r.points_seen;
-        p.points_ingested = r.points_ingested;
-        p.points_shed = r.points_shed;
-        p.points_rejected = r.points_rejected;
-        p.spills = r.spills;
-        p.restores = r.restores;
-        p.spilled_bytes = r.spilled_bytes;
-        p.events_dropped = r.events_dropped;
-        // Gauges publish as deltas too, so a fleet of engines sharing one
-        // registry (`ShardedTenants`) sums to the fleet total.
-        let bytes = self.bytes_in_use as i64;
-        let peak = self.report.bytes_peak as i64;
-        let (hot, cold, quarantined) = (self.hot as i64, self.cold as i64, self.quarantined as i64);
-        inst.bytes_in_use.add(bytes - p.bytes_in_use);
-        inst.bytes_peak.add(peak - p.bytes_peak);
-        inst.hot_streams.add(hot - p.hot);
-        inst.cold_streams.add(cold - p.cold);
-        inst.quarantined_streams.add(quarantined - p.quarantined);
-        p.bytes_in_use = bytes;
-        p.bytes_peak = peak;
-        p.hot = hot;
-        p.cold = cold;
-        p.quarantined = quarantined;
-    }
-
     fn push_event(&mut self, stream: StreamId, action: PressureAction) {
         // Every event reaches the trace ring (which bounds itself by
         // keeping the newest) even when the report ledger below is full.
-        if self.inst.tel.is_enabled() {
+        let tel = self.config.telemetry;
+        if tel.is_enabled() {
             let (name, extra) = match &action {
                 PressureAction::Spilled { bytes } => ("spill", ("bytes", *bytes as i64)),
                 PressureAction::Restored { bytes } => ("restore", ("bytes", *bytes as i64)),
@@ -1243,37 +1152,38 @@ impl TenantEngine {
                 PressureAction::Quarantined { .. } => ("quarantine", ("points", 0)),
                 PressureAction::Rejected { points } => ("reject", ("points", *points as i64)),
             };
-            self.inst.tel.event(
+            tel.event(
                 "tenant",
                 name,
                 self.clock,
                 &[("stream", stream.0 as i64), extra],
             );
         }
-        if self.report.events.len() < self.config.event_capacity {
+        if self.events.len() < self.config.event_capacity {
             let tick = self.clock;
-            self.report.events.push(PressureEvent {
+            self.events.push(PressureEvent {
                 stream,
                 tick,
                 action,
             });
         } else {
-            self.report.events_dropped += 1;
+            self.ledger.events_dropped.add(1);
         }
     }
 
-    /// Slot of `id`, registering a fresh tenant if new. Respects
-    /// `max_streams` (under a shedding policy the coldest tenant makes
-    /// room; under `Reject` the registration errors).
-    fn admit(&mut self, id: StreamId) -> Result<usize, AdmissionError> {
+    /// Slot of `id`, registering a fresh tenant if new, and whether it
+    /// was. Respects `max_streams` (under a shedding policy the coldest
+    /// tenant makes room; under `Reject` the registration errors). The
+    /// caller counts the admission once it stands.
+    fn admit(&mut self, id: StreamId) -> Result<(usize, bool), AdmissionError> {
         if let Some(&idx) = self.index.get(&id) {
-            return Ok(idx);
+            return Ok((idx, false));
         }
         let limit = self.config.max_streams;
         if limit != 0 && self.index.len() >= limit {
             match self.config.policy {
                 OverloadPolicy::Reject => {
-                    self.report.streams_rejected += 1;
+                    self.ledger.streams_rejected.add(1);
                     self.push_event(id, PressureAction::Rejected { points: 0 });
                     return Err(AdmissionError::StreamLimit { limit });
                 }
@@ -1315,11 +1225,9 @@ impl TenantEngine {
             }
         };
         self.index.insert(id, idx);
-        self.hot += 1;
-        self.bytes_in_use += bytes;
-        self.report.streams_admitted += 1;
-        self.note_peak();
-        Ok(idx)
+        self.retier(None, Some(Tier::Hot));
+        self.account_bytes(0, bytes);
+        Ok((idx, true))
     }
 
     /// Builds a summary for `builder`, sharing the frozen fan / radial
@@ -1401,12 +1309,10 @@ impl TenantEngine {
         t.residency = Residency::Cold(envelope);
         t.bytes = env_len;
         let id = t.id;
-        self.hot -= 1;
-        self.cold += 1;
-        self.bytes_in_use = self.bytes_in_use + env_len - freed;
-        self.report.spills += 1;
-        self.report.spilled_bytes += env_len as u64;
-        self.note_peak();
+        self.retier(Some(Tier::Hot), Some(Tier::Cold));
+        self.account_bytes(freed, env_len);
+        self.ledger.spills.add(1);
+        self.ledger.spilled_bytes.add(env_len as u64);
         self.push_event(id, PressureAction::Spilled { bytes: env_len });
         true
     }
@@ -1437,13 +1343,11 @@ impl TenantEngine {
                 if let Some(Some(t)) = self.slots.get_mut(idx) {
                     t.residency = Residency::Hot(summary);
                     t.epoch = epoch;
-                    self.bytes_in_use = self.bytes_in_use + live - t.bytes;
-                    t.bytes = live;
+                    let before = std::mem::replace(&mut t.bytes, live);
+                    self.account_bytes(before, live);
                 }
-                self.cold -= 1;
-                self.hot += 1;
-                self.report.restores += 1;
-                self.note_peak();
+                self.retier(Some(Tier::Cold), Some(Tier::Hot));
+                self.ledger.restores.add(1);
                 self.push_event(
                     id,
                     PressureAction::Restored {
@@ -1456,13 +1360,12 @@ impl TenantEngine {
                 // Quarantine exactly this tenant: drop the poisoned
                 // envelope, keep the error, keep serving everyone else.
                 if let Some(Some(t)) = self.slots.get_mut(idx) {
-                    self.bytes_in_use -= t.bytes;
-                    t.bytes = 0;
+                    let before = std::mem::take(&mut t.bytes);
                     t.residency = Residency::Quarantined(error.clone());
+                    self.account_bytes(before, 0);
                 }
-                self.cold -= 1;
-                self.quarantined += 1;
-                self.report.streams_quarantined += 1;
+                self.retier(Some(Tier::Cold), Some(Tier::Quarantined));
+                self.ledger.streams_quarantined.add(1);
                 self.push_event(
                     id,
                     PressureAction::Quarantined {
@@ -1480,28 +1383,23 @@ impl TenantEngine {
         if n == 0 {
             return;
         }
-        if let Ok(idx) = self.admit(id) {
+        if let Ok((idx, fresh)) = self.admit(id) {
+            self.ledger.streams_admitted.add(u64::from(fresh));
             if let Some(Some(t)) = self.slots.get_mut(idx) {
                 t.seen += n;
                 t.shed += n;
             }
         }
-        self.report.points_seen += n;
-        self.report.points_shed += n;
+        self.ledger.points_seen.add(n);
+        self.ledger.points_shed.add(n);
         self.push_event(id, PressureAction::ShedPoints { points: n });
     }
 
-    /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`:
-    /// runs the real write, then publishes the (now settled) ledger to
-    /// telemetry — after any Reject-policy rollback, so counters never
-    /// see a state the report would later retract.
+    /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`.
+    /// The write's points (and a new stream's admission) reach the ledger
+    /// only once the budget has settled, so a Reject-policy rollback
+    /// never has a tally to take back.
     fn write(&mut self, id: StreamId, points: &[Point2]) -> Result<(), AdmissionError> {
-        let result = self.write_inner(id, points);
-        self.sync_telemetry();
-        result
-    }
-
-    fn write_inner(&mut self, id: StreamId, points: &[Point2]) -> Result<(), AdmissionError> {
         // Non-finite points are silently dropped up front — the same
         // contract every summary honours — so the engine ledger counts
         // finite points only and `seen == ingested + shed` stays exact.
@@ -1518,55 +1416,18 @@ impl TenantEngine {
         if self.config.policy == OverloadPolicy::Reject && self.over_budget() {
             self.spill_coldest_until_under();
             if self.over_budget() {
-                self.report.points_rejected += n;
+                self.ledger.points_rejected.add(n);
                 self.push_event(id, PressureAction::Rejected { points: n });
                 return Err(AdmissionError::OverBudget {
-                    in_use: self.bytes_in_use,
+                    in_use: self.bytes_in_use(),
                     budget: self.config.budget_bytes,
                 });
             }
         }
-        let was_known = self.index.contains_key(&id);
-        let idx = self.admit(id)?;
-        // Per-tenant cap gate.
-        let cap = self.config.tenant_cap_bytes;
-        if cap != 0 {
-            let at_cap = match self.slots.get(idx).and_then(|s| s.as_ref()) {
-                Some(t) => t.bytes >= cap,
-                None => false,
-            };
-            if at_cap {
-                match self.config.policy {
-                    OverloadPolicy::Reject => {
-                        let bytes = self.slots.get(idx).and_then(|s| s.as_ref());
-                        let bytes = bytes.map(|t| t.bytes).unwrap_or(0);
-                        self.report.points_rejected += n;
-                        self.push_event(id, PressureAction::Rejected { points: n });
-                        return Err(AdmissionError::TenantCap {
-                            stream: id,
-                            bytes,
-                            cap,
-                        });
-                    }
-                    OverloadPolicy::ShedOldest => {
-                        self.shed_points(id, n);
-                        self.touch(idx);
-                        return Ok(());
-                    }
-                    OverloadPolicy::DegradeToCoarser => {
-                        self.degrade_slot(idx);
-                        let still = match self.slots.get(idx).and_then(|s| s.as_ref()) {
-                            Some(t) => t.bytes >= cap,
-                            None => false,
-                        };
-                        if still {
-                            self.shed_points(id, n);
-                            self.touch(idx);
-                            return Ok(());
-                        }
-                    }
-                }
-            }
+        let (idx, fresh) = self.admit(id)?;
+        if let Some(settled) = self.cap_gate(id, idx, n) {
+            self.ledger.streams_admitted.add(u64::from(fresh));
+            return settled;
         }
         let was_cold = matches!(
             self.slots
@@ -1582,14 +1443,20 @@ impl TenantEngine {
         // bit-exactly, restores being lossless — when enforcement fails.
         let undo = if self.config.policy == OverloadPolicy::Reject
             && self.config.budget_bytes != 0
-            && was_known
+            && !fresh
         {
             match self.slots.get(idx).and_then(|s| s.as_ref()) {
-                Some(t) => match &t.residency {
-                    Residency::Hot(s) => Some(s.encode_snapshot()),
-                    _ => None,
-                },
-                None => None,
+                Some(Tenant {
+                    residency: Residency::Hot(s),
+                    seen,
+                    ingested,
+                    ..
+                }) => Some(Undo {
+                    envelope: s.encode_snapshot(),
+                    seen: *seen,
+                    ingested: *ingested,
+                }),
+                _ => None,
             }
         } else {
             None
@@ -1602,49 +1469,80 @@ impl TenantEngine {
                 t.bytes = after;
                 t.seen += n;
                 t.ingested += n;
-                self.bytes_in_use = self.bytes_in_use + after - before;
+                self.account_bytes(before, after);
             }
         }
         self.touch(idx);
-        self.report.points_seen += n;
-        self.report.points_ingested += n;
-        self.note_peak();
-        match self.enforce_budget(Some(idx)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let rolled_back = if was_known {
-                    match &undo {
-                        Some(envelope) => self.unwrite(idx, envelope, was_cold, n),
-                        None => false,
-                    }
-                } else {
-                    self.forget_admission(id, n)
-                };
-                if rolled_back {
-                    Err(AdmissionError::OverBudget {
-                        in_use: self.bytes_in_use,
-                        budget: self.config.budget_bytes,
-                    })
-                } else {
-                    Err(e)
+        let settled = self.enforce_budget(Some(idx));
+        if settled.is_err() {
+            let rolled_back = match undo {
+                Some(undo) => self.unwrite(idx, undo, was_cold, n),
+                None => fresh && self.forget_admission(id, n),
+            };
+            if rolled_back {
+                return Err(AdmissionError::OverBudget {
+                    in_use: self.bytes_in_use(),
+                    budget: self.config.budget_bytes,
+                });
+            }
+        }
+        self.ledger.streams_admitted.add(u64::from(fresh));
+        self.ledger.points_seen.add(n);
+        self.ledger.points_ingested.add(n);
+        settled
+    }
+
+    /// The per-tenant cap gate. `Some` when the gate settles the write
+    /// itself — refusing it, or shedding its `n` points — and `None` when
+    /// the write goes ahead (possibly after a degrade brought the tenant
+    /// back under its cap).
+    fn cap_gate(&mut self, id: StreamId, idx: usize, n: u64) -> Option<Result<(), AdmissionError>> {
+        let cap = self.config.tenant_cap_bytes;
+        let bytes = |e: &Self| {
+            e.slots
+                .get(idx)
+                .and_then(|s| s.as_ref())
+                .map_or(0, |t| t.bytes)
+        };
+        if cap == 0 || bytes(self) < cap {
+            return None;
+        }
+        match self.config.policy {
+            OverloadPolicy::Reject => {
+                self.ledger.points_rejected.add(n);
+                self.push_event(id, PressureAction::Rejected { points: n });
+                return Some(Err(AdmissionError::TenantCap {
+                    stream: id,
+                    bytes: bytes(self),
+                    cap,
+                }));
+            }
+            OverloadPolicy::ShedOldest => {}
+            OverloadPolicy::DegradeToCoarser => {
+                self.degrade_slot(idx);
+                if bytes(self) < cap {
+                    return None;
                 }
             }
         }
+        self.shed_points(id, n);
+        self.touch(idx);
+        Some(Ok(()))
     }
 
     /// Undoes one rejected write by restoring the tenant's pre-write
     /// state (bit-exact: the hot summary decoded from the envelope, or
-    /// the envelope itself if the tenant was cold before the write) and
-    /// withdrawing the write's ledger entries, re-recording the points as
-    /// rejected. `false` (nothing undone) only if the pre-write envelope
-    /// fails to decode — it was encoded from live state moments ago, so
-    /// that path is effectively unreachable, and the engine then keeps
-    /// the ingested state rather than corrupt it.
-    fn unwrite(&mut self, idx: usize, envelope: &[u8], was_cold: bool, n: u64) -> bool {
+    /// the envelope itself if the tenant was cold before the write, plus
+    /// its per-tenant counts) and recording the points as rejected.
+    /// `false` (nothing undone) only if the pre-write envelope fails to
+    /// decode — it was encoded from live state moments ago, so that path
+    /// is effectively unreachable, and the engine then keeps the ingested
+    /// state rather than corrupt it.
+    fn unwrite(&mut self, idx: usize, undo: Undo, was_cold: bool, n: u64) -> bool {
         let summary = if was_cold {
             None
         } else {
-            match self.decode_interned(envelope) {
+            match self.decode_interned(&undo.envelope) {
                 Ok(s) => Some(s),
                 Err(_) => return false,
             }
@@ -1655,64 +1553,48 @@ impl TenantEngine {
         };
         let id = t.id;
         let before = t.bytes;
-        let currently_cold = matches!(t.residency, Residency::Cold(_));
-        let after = match summary {
+        let tier_now = t.residency.tier();
+        let (after, tier) = match summary {
             // Hot before the write: back to the decoded pre-write summary.
             Some(s) => {
-                if currently_cold {
-                    self.cold -= 1;
-                    self.hot += 1;
-                }
                 let after = s.approx_bytes();
                 t.residency = Residency::Hot(s);
                 t.epoch = epoch;
-                after
+                (after, Tier::Hot)
             }
             // Cold before the write: back to the envelope, so the restore
             // the write forced does not leak footprint past the refusal.
             None => {
-                if !currently_cold {
-                    self.hot -= 1;
-                    self.cold += 1;
-                }
-                t.residency = Residency::Cold(envelope.to_vec());
-                envelope.len()
+                let after = undo.envelope.len();
+                t.residency = Residency::Cold(undo.envelope);
+                (after, Tier::Cold)
             }
         };
         t.bytes = after;
-        t.seen -= n;
-        t.ingested -= n;
-        self.bytes_in_use = self.bytes_in_use + after - before;
-        self.report.points_seen -= n;
-        self.report.points_ingested -= n;
-        self.report.points_rejected += n;
+        t.seen = undo.seen;
+        t.ingested = undo.ingested;
+        self.retier(Some(tier_now), Some(tier));
+        self.account_bytes(before, after);
+        self.ledger.points_rejected.add(n);
         self.push_event(id, PressureAction::Rejected { points: n });
         true
     }
 
     /// Undoes a rejected write that also admitted `id`: the slot goes away
     /// entirely, so a refused first write leaves no half-admitted tenant.
+    /// The admission was never counted, so only the rejection is.
     fn forget_admission(&mut self, id: StreamId, n: u64) -> bool {
-        if self.config.policy != OverloadPolicy::Reject {
+        if self.remove(id).is_none() {
             return false;
         }
-        // `remove_inner`, not the syncing wrapper: the ledger still holds
-        // the tentative write this rollback is about to retract, and a
-        // publish here would freeze that overcount into the counters.
-        if self.remove_inner(id).is_none() {
-            return false;
-        }
-        self.report.streams_admitted = self.report.streams_admitted.saturating_sub(1);
-        self.report.points_seen -= n;
-        self.report.points_ingested -= n;
-        self.report.points_rejected += n;
+        self.ledger.points_rejected.add(n);
         self.push_event(id, PressureAction::Rejected { points: n });
         true
     }
 
     fn over_budget(&self) -> bool {
         let budget = self.config.budget_bytes;
-        budget != 0 && self.bytes_in_use > budget
+        budget != 0 && self.bytes_in_use() > budget
     }
 
     /// Spill relief low-water mark: an eighth of hysteresis below the
@@ -1747,11 +1629,11 @@ impl TenantEngine {
 
     fn spill_coldest_until_under(&mut self) {
         let target = self.low_water();
-        if self.bytes_in_use <= target {
+        if self.bytes_in_use() <= target {
             return;
         }
         for idx in self.coldness_order() {
-            if self.bytes_in_use <= target {
+            if self.bytes_in_use() <= target {
                 break;
             }
             self.spill_slot(idx);
@@ -1765,8 +1647,8 @@ impl TenantEngine {
         let id = t.id;
         let seen = t.seen;
         self.push_event(id, PressureAction::Evicted { seen });
-        self.report.streams_shed += 1;
-        self.remove_inner(id);
+        self.ledger.streams_shed.add(1);
+        self.remove(id);
     }
 
     /// Swaps a tenant's backend for the degrade fallback via an in-memory
@@ -1812,9 +1694,8 @@ impl TenantEngine {
             }
         }
         let id = t.id;
-        self.bytes_in_use = self.bytes_in_use + after - before;
-        self.report.streams_degraded += 1;
-        self.note_peak();
+        self.account_bytes(before, after);
+        self.ledger.streams_degraded.add(1);
         self.push_event(id, PressureAction::Degraded { from, to });
         true
     }
@@ -1836,12 +1717,12 @@ impl TenantEngine {
         let target = self.low_water();
         match self.config.policy {
             OverloadPolicy::Reject => Err(AdmissionError::OverBudget {
-                in_use: self.bytes_in_use,
+                in_use: self.bytes_in_use(),
                 budget: self.config.budget_bytes,
             }),
             OverloadPolicy::ShedOldest => {
                 for idx in self.coldness_order() {
-                    if self.bytes_in_use <= target {
+                    if self.bytes_in_use() <= target {
                         break;
                     }
                     if Some(idx) == keep {
@@ -1859,7 +1740,7 @@ impl TenantEngine {
             }
             OverloadPolicy::DegradeToCoarser => {
                 for idx in self.coldness_order() {
-                    if self.bytes_in_use <= target {
+                    if self.bytes_in_use() <= target {
                         break;
                     }
                     self.degrade_slot(idx);
@@ -1868,7 +1749,7 @@ impl TenantEngine {
                 if self.over_budget() {
                     // Even the degraded fleet cannot fit: shed.
                     for idx in self.coldness_order() {
-                        if self.bytes_in_use <= target {
+                        if self.bytes_in_use() <= target {
                             break;
                         }
                         if Some(idx) == keep {
@@ -1996,7 +1877,9 @@ impl ShardedTenants {
     }
 
     /// Fleet-wide report: shard tallies summed, event logs concatenated in
-    /// shard order (bounded by the sum of the shard caps).
+    /// shard order (bounded by the sum of the shard caps). `bytes_peak` is
+    /// the sum of per-shard high-water marks, an upper bound on the fleet
+    /// peak rather than the peak itself.
     pub fn pressure_report(&self) -> PressureReport {
         let mut total = PressureReport::default();
         for s in &self.shards {
@@ -2423,8 +2306,9 @@ mod tests {
     }
 
     /// Every `PressureReport` tally must be readable, exactly, from a
-    /// telemetry scrape taken at the same moment — including after the
-    /// Reject-policy rollback paths and a quarantine.
+    /// telemetry scrape taken at the same moment, after `ShedOldest`
+    /// evictions, idle spills, an overflowing event log and a quarantine.
+    /// The Reject-policy rollback paths are pinned in `tests/tenant.rs`.
     #[test]
     fn scrape_mirrors_pressure_report_exactly() {
         let tel = Telemetry::new();

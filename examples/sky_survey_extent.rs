@@ -91,7 +91,7 @@ fn main() {
         println!(
             "extent @ {angle_deg:>4.0} deg     : exact {:>8.4}  adaptive {:>8.4}",
             queries::directional_extent(&truth, dir),
-            queries::summary_extent(adaptive.as_ref(), dir),
+            queries::directional_extent(adaptive.hull_ref(), dir),
         );
     }
 

@@ -52,13 +52,7 @@ fn min_distance_between_summaries_tracks_exact() {
     let (a2, e2) = build(104, 20_000, 2.0, 6.0);
     let d_approx = queries::min_distance(a1.hull_ref(), a2.hull_ref());
     let d_exact = queries::min_distance(e1.hull_ref(), e2.hull_ref());
-    // The summary-level entry points agree with the polygon-level ones,
-    // bit for bit (same code path, not approximate agreement).
-    assert_eq!(
-        queries::summary_min_distance(&a1, &a2).to_bits(),
-        d_approx.to_bits()
-    );
-    assert!(queries::summary_separation(&a1, &a2)
+    assert!(queries::separation(a1.hull_ref(), a2.hull_ref())
         .unwrap()
         .is_separated());
     // Approximate hulls are inside the exact ones => distance can only

@@ -214,3 +214,150 @@ fn sharded_bulk_ingest_matches_serial_engine() {
         );
     }
 }
+
+/// Every counter and gauge the tenant ledger publishes, read from a
+/// scrape under the same field names as [`PressureReport`].
+fn scraped_ledger(scrape: &Scrape) -> [(&'static str, u64); 15] {
+    use streamhull::telemetry::names;
+    let c = |name| scrape.counter_total(name);
+    let with = |name, labels: &[(&str, &str)]| scrape.counter_with(name, labels).unwrap_or(0);
+    let g = |name| scrape.gauge_value(name).unwrap_or(0) as u64;
+    [
+        (
+            "streams_admitted",
+            with(names::TENANT_STREAMS, &[("outcome", "admitted")]),
+        ),
+        (
+            "streams_rejected",
+            with(names::TENANT_STREAMS, &[("outcome", "rejected")]),
+        ),
+        ("streams_shed", c(names::TENANT_EVICTIONS)),
+        ("streams_degraded", c(names::TENANT_DEGRADATIONS)),
+        ("streams_quarantined", c(names::TENANT_QUARANTINES)),
+        ("points_seen", c(names::TENANT_POINTS_SEEN)),
+        ("points_ingested", c(names::TENANT_POINTS_INGESTED)),
+        ("points_shed", c(names::TENANT_POINTS_SHED)),
+        ("points_rejected", c(names::TENANT_POINTS_REJECTED)),
+        ("spills", with(names::TENANT_TIER_OPS, &[("kind", "spill")])),
+        (
+            "restores",
+            with(names::TENANT_TIER_OPS, &[("kind", "restore")]),
+        ),
+        (
+            "spilled_bytes",
+            with(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
+        ),
+        ("events_dropped", c(names::TENANT_EVENTS_DROPPED)),
+        ("bytes_in_use", g(names::TENANT_BYTES_IN_USE)),
+        ("bytes_peak", g(names::TENANT_BYTES_PEAK)),
+    ]
+}
+
+/// The same fields, read from the report.
+fn reported_ledger(r: &PressureReport) -> [(&'static str, u64); 15] {
+    [
+        ("streams_admitted", r.streams_admitted),
+        ("streams_rejected", r.streams_rejected),
+        ("streams_shed", r.streams_shed),
+        ("streams_degraded", r.streams_degraded),
+        ("streams_quarantined", r.streams_quarantined),
+        ("points_seen", r.points_seen),
+        ("points_ingested", r.points_ingested),
+        ("points_shed", r.points_shed),
+        ("points_rejected", r.points_rejected),
+        ("spills", r.spills),
+        ("restores", r.restores),
+        ("spilled_bytes", r.spilled_bytes),
+        ("events_dropped", r.events_dropped),
+        ("bytes_in_use", r.bytes_in_use as u64),
+        ("bytes_peak", r.bytes_peak as u64),
+    ]
+}
+
+/// Both Reject-policy rollback paths, driven deterministically: a known
+/// tenant's write that breaches the budget is undone in place, and a new
+/// stream whose first write breaches it is forgotten entirely. After
+/// every call the scrape equals the report, and no counter ever goes
+/// down.
+#[test]
+fn reject_rollbacks_keep_scrape_equal_to_report() {
+    let ring = |n: usize, r: f64| -> Vec<Point2> {
+        (0..n)
+            .map(|i| {
+                let t = std::f64::consts::TAU * i as f64 / n as f64;
+                Point2::new(r * t.cos(), r * t.sin())
+            })
+            .collect()
+    };
+    const BUDGET: usize = 8 * 1024;
+    let tel = Telemetry::new();
+    // Exact hulls keep every ring vertex, so one big ring outgrows the
+    // budget by itself and spilling cannot make room for it.
+    let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Exact))
+        .with_budget_bytes(BUDGET)
+        .with_policy(OverloadPolicy::Reject)
+        .with_telemetry(tel);
+    let mut engine = TenantEngine::new(config);
+    let mut last = reported_ledger(&engine.pressure_report());
+    let mut check = |engine: &TenantEngine| -> PressureReport {
+        let report = engine.pressure_report();
+        let now = reported_ledger(&report);
+        assert_eq!(scraped_ledger(&tel.scrape()), now, "scrape != report");
+        for ((name, before), (_, after)) in last.iter().zip(now.iter()) {
+            if *name != "bytes_in_use" {
+                assert!(after >= before, "{name} went down: {before} -> {after}");
+            }
+        }
+        last = now;
+        report
+    };
+
+    let known = StreamId(1);
+    engine.insert_batch(known, &ring(16, 1.0)).unwrap();
+    let before = check(&engine);
+    let stats_before = engine.stats(known).unwrap();
+
+    // `unwrite`: the known tenant's write breaches the budget. The engine
+    // is under budget first, so the pre-write gate cannot be what
+    // refuses it; the peak shows the write really ran before the undo.
+    assert!(engine.bytes_in_use() <= BUDGET);
+    let big = ring(2_000, 5.0);
+    assert!(matches!(
+        engine.insert_batch(known, &big),
+        Err(AdmissionError::OverBudget { .. })
+    ));
+    let after = check(&engine);
+    assert!(after.bytes_peak > BUDGET);
+    assert_eq!(after.points_rejected, before.points_rejected + 2_000);
+    assert_eq!(after.points_seen, before.points_seen);
+    assert_eq!(after.streams_admitted, before.streams_admitted);
+    let stats_after = engine.stats(known).unwrap();
+    assert_eq!(
+        (stats_after.seen, stats_after.ingested),
+        (stats_before.seen, stats_before.ingested),
+        "the rolled-back tenant keeps its pre-write counts"
+    );
+
+    // `forget_admission`: a new stream's first, larger write breaches
+    // the budget.
+    assert!(engine.bytes_in_use() <= BUDGET);
+    let fresh = StreamId(2);
+    assert!(matches!(
+        engine.insert_batch(fresh, &ring(3_000, 5.0)),
+        Err(AdmissionError::OverBudget { .. })
+    ));
+    let last_report = check(&engine);
+    assert!(
+        !engine.contains(fresh),
+        "a refused first write admits nothing"
+    );
+    assert!(last_report.bytes_peak > after.bytes_peak);
+    assert_eq!(last_report.points_rejected, after.points_rejected + 3_000);
+    assert_eq!(last_report.streams_admitted, after.streams_admitted);
+    assert_eq!(last_report.points_seen, after.points_seen);
+    assert_eq!(engine.hot_count() + engine.cold_count(), 1);
+
+    // The engine keeps serving after both refusals.
+    engine.insert_batch(known, &ring(8, 0.5)).unwrap();
+    check(&engine);
+}
