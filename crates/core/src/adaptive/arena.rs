@@ -48,6 +48,15 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Creates an empty arena with room for `n` nodes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Arena {
+            slots: Vec::with_capacity(n),
+            free: Vec::new(),
+            live: 0,
+        }
+    }
+
     /// Number of live nodes.
     pub fn len(&self) -> usize {
         self.live

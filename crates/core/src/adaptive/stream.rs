@@ -657,10 +657,13 @@ impl AdaptiveHull {
         if uniform.r() != r {
             return Err(SnapshotError::Malformed("uniform r disagrees with grid"));
         }
+        // Each leaf takes 33 payload bytes and each internal node 1, and a
+        // forest of `r` full binary trees has `r` fewer internal nodes than
+        // leaves, so `remaining / 17` bounds the node count.
         let mut s = AdaptiveHull {
             grid,
             uniform,
-            arena: Arena::new(),
+            arena: Arena::with_capacity(reader.remaining() / 17),
             roots: Vec::new(),
             queue: match queue_kind {
                 QueueKind::Heap => QueueImpl::Heap(HeapQueue::new()),

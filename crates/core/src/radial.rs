@@ -8,8 +8,9 @@
 
 use crate::summary::{HullCache, HullSummary, Mergeable};
 use core::f64::consts::TAU;
+use geom::dyadic::unit_vectors;
 use geom::{ConvexPolygon, Point2, Vec2};
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// `true` iff the angle of `(x, y)` under the `atan2().rem_euclid(TAU)`
 /// convention lies in the lower half-turn `[π, 2π)`. The zero vector never
@@ -26,12 +27,15 @@ pub struct RadialHull {
     origin: Option<Point2>,
     /// Farthest point per sector (`None` = sector empty so far).
     buckets: Vec<Option<(f64, Point2)>>,
-    /// Sector boundary directions `(cos, sin)(2πj/r)` with a precomputed
-    /// half-turn flag, in ascending angular order — the lookup table for
-    /// the trig-free [`sector`](RadialHull::sector_of) search. A pure
-    /// function of `r`, held behind an [`Arc`] so a fleet of same-`r`
-    /// summaries ([`crate::tenant`]) shares one table allocation.
-    bounds: Arc<[(Vec2, bool)]>,
+    /// Sector boundary directions `(cos, sin)(2πj/r)` in ascending angular
+    /// order: the lookup table for the trig-free
+    /// [`sector`](RadialHull::sector_of) search. The process-wide unit
+    /// table for `r` (see [`RadialHull::sector_bounds`]), so a fleet of
+    /// same-`r` summaries ([`crate::tenant`]) shares one allocation.
+    bounds: Cow<'static, [Vec2]>,
+    /// Number of boundaries in the upper half-turn `[0, π)`; the rest lie
+    /// in the lower half-turn.
+    upper: usize,
     seen: u64,
     cache: HullCache,
 }
@@ -40,49 +44,25 @@ impl RadialHull {
     /// Creates the summary with `r >= 4` angular sectors.
     pub fn new(r: u32) -> Self {
         assert!(r >= 4, "need at least 4 sectors, got {r}");
-        RadialHull::with_shared_bounds(r, RadialHull::sector_bounds(r))
-    }
-
-    /// The sector-boundary lookup table for `r` sectors — build it once and
-    /// hand the same `Arc` to [`RadialHull::with_shared_bounds`] for every
-    /// stream of a fleet.
-    pub fn sector_bounds(r: u32) -> Arc<[(Vec2, bool)]> {
-        (0..r)
-            .map(|j| {
-                let d = Vec2::from_angle(TAU * j as f64 / r as f64);
-                (d, lower_half(d.x, d.y))
-            })
-            .collect()
-    }
-
-    /// Like [`RadialHull::new`], but sharing a boundary table owned
-    /// elsewhere (must come from [`RadialHull::sector_bounds`]`(r)`; a
-    /// table of the wrong length is discarded and recomputed, so the
-    /// constructor is total apart from the `r >= 4` contract).
-    pub fn with_shared_bounds(r: u32, bounds: Arc<[(Vec2, bool)]>) -> Self {
-        assert!(r >= 4, "need at least 4 sectors, got {r}");
-        let bounds = if bounds.len() == r as usize {
-            bounds
-        } else {
-            RadialHull::sector_bounds(r)
-        };
+        let bounds = RadialHull::sector_bounds(r);
+        let upper = bounds.partition_point(|d| !lower_half(d.x, d.y));
         RadialHull {
             r,
             origin: None,
             buckets: vec![None; r as usize],
             bounds,
+            upper,
             seen: 0,
             cache: HullCache::new(),
         }
     }
 
-    /// Re-points `bounds` at `table` when it matches (same length — the
-    /// table is a pure function of `r`, so same length means bit-identical
-    /// contents). Restore-path dedup for the tenant engine.
-    pub(crate) fn intern_bounds(&mut self, table: &Arc<[(Vec2, bool)]>) {
-        if !Arc::ptr_eq(&self.bounds, table) && table.len() == self.r as usize {
-            self.bounds = table.clone();
-        }
+    /// The sector-boundary directions `(cos, sin)(2πj/r)` for `r` sectors,
+    /// from [`geom::dyadic::unit_vectors`]: the process-wide table when `r`
+    /// is a power of two up to 2^16, else a private vector with the same
+    /// bits.
+    pub fn sector_bounds(r: u32) -> Cow<'static, [Vec2]> {
+        unit_vectors(r as u64)
     }
 
     /// Number of sectors.
@@ -112,25 +92,23 @@ impl RadialHull {
 
     /// Sector of `p` around `origin` — **no trig in the hot loop**: where
     /// the v1 formula computed `⌊atan2(v)·r/2π⌋` per point, this compares
-    /// `v` against the precomputed boundary directions. A boundary at or
-    /// below `v`'s angle is detected by half-turn flag (one comparison)
-    /// or, within the same half-turn (spans < π, so the sign of the cross
-    /// product is the sign of the angle difference), by one cross product.
-    /// The boundaries are in ascending angular order, so the count of
+    /// `v` against the precomputed boundary directions. Boundaries in the
+    /// other half-turn precede `v` iff they are the upper-half ones; within
+    /// `v`'s own half-turn (spans < π, so the sign of the cross product is
+    /// the sign of the angle difference) one cross product decides. The
+    /// boundaries are in ascending angular order, so the count of
     /// boundaries not exceeding `v` is a partition point: `O(log r)`
     /// multiply/compare steps, no `atan2`, no division.
     fn sector(&self, p: Point2, origin: Point2) -> usize {
         let v = p - origin;
-        let vh = lower_half(v.x, v.y);
-        let count = self.bounds.partition_point(|&(d, dh)| {
-            if dh != vh {
-                // Different half-turns: the boundary precedes `v` iff it
-                // is the upper-half one.
-                !dh
-            } else {
-                d.cross(v) >= 0.0
-            }
-        });
+        let (upper, lower) = self.bounds.split_at(self.upper);
+        let count = if lower_half(v.x, v.y) {
+            // Every upper-half boundary precedes `v`.
+            upper.len() + lower.partition_point(|d| d.cross(v) >= 0.0)
+        } else {
+            // No lower-half boundary precedes `v`.
+            upper.partition_point(|d| d.cross(v) >= 0.0)
+        };
         // `bounds[0]` is angle 0 and always counted, so `count >= 1`.
         count - 1
     }
@@ -295,12 +273,11 @@ impl HullSummary for RadialHull {
     }
 
     fn approx_bytes(&self) -> usize {
-        // The boundary table is charged only when this summary is its sole
-        // owner — a shared table costs the fleet one allocation.
-        let table = if Arc::strong_count(&self.bounds) > 1 {
-            0
-        } else {
-            self.bounds.len() * core::mem::size_of::<(Vec2, bool)>()
+        // A private boundary table is charged; the shared one costs the
+        // process one allocation, not one per stream.
+        let table = match &self.bounds {
+            Cow::Borrowed(_) => 0,
+            Cow::Owned(v) => v.len() * core::mem::size_of::<Vec2>(),
         };
         96 + table + self.buckets.len() * core::mem::size_of::<Option<(f64, Point2)>>()
     }

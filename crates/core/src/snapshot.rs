@@ -46,6 +46,13 @@
 //!   changes the digest), and payload readers bounds-check and
 //!   re-validate every structural invariant before constructing a
 //!   summary.
+//! * **One checksum pass per envelope**: each decode verifies each
+//!   distinct envelope exactly once. The envelope is opened once, and the
+//!   typed payload readers take the payload it already validated; a
+//!   nested envelope (a windowed chain's bucket, a cluster's member, a
+//!   checkpoint's inner snapshot) is a distinct envelope and is verified
+//!   on its own, so re-sealing only the outer checksum never smuggles a
+//!   corrupted inner one past the decoder.
 //!
 //! # Entry points
 //!
@@ -490,6 +497,15 @@ pub(crate) fn decode_expecting<T>(
             found: tag_name(tag),
         });
     }
+    read_payload(payload, read)
+}
+
+/// Hands an already-validated payload to `read` and requires it to
+/// consume every byte. The envelope around `payload` is not checked again.
+pub(crate) fn read_payload<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
     let mut reader = Reader::new(payload);
     let value = read(&mut reader)?;
     reader.finish()?;
@@ -542,7 +558,15 @@ impl Snapshot for crate::window::WindowedSummary {
 pub(crate) fn restore_mergeable(
     bytes: &[u8],
 ) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
-    let (tag, _) = open(bytes)?;
+    let (kind, payload) = open_summary(bytes)?;
+    restore_payload(kind, payload)
+}
+
+/// Validates a summary envelope (one checksum pass) and returns its
+/// backend kind with the payload; a windowed or checkpoint envelope is a
+/// [`SnapshotError::KindMismatch`].
+pub(crate) fn open_summary(bytes: &[u8]) -> Result<(SummaryKind, &[u8]), SnapshotError> {
+    let (tag, payload) = open(bytes)?;
     if tag == WINDOWED_TAG || tag == CHECKPOINT_TAG {
         return Err(SnapshotError::KindMismatch {
             expected: "a summary backend",
@@ -552,32 +576,46 @@ pub(crate) fn restore_mergeable(
     let kind = *SummaryKind::ALL
         .get(tag as usize)
         .ok_or(SnapshotError::UnknownKind(tag))?;
-    Ok(match kind {
-        SummaryKind::Exact => Box::new(crate::exact::ExactHull::decode(bytes)?),
-        SummaryKind::UniformNaive => Box::new(crate::uniform::NaiveUniformHull::decode(bytes)?),
-        SummaryKind::Uniform => Box::new(crate::uniform::UniformHull::decode(bytes)?),
-        SummaryKind::Radial => Box::new(crate::radial::RadialHull::decode(bytes)?),
-        SummaryKind::Frozen => Box::new(crate::frozen::FrozenHull::decode(bytes)?),
-        SummaryKind::Adaptive => Box::new(crate::adaptive::stream::AdaptiveHull::decode(bytes)?),
+    Ok((kind, payload))
+}
+
+/// Decodes the payload of a `kind` envelope that [`open_summary`] already
+/// validated.
+pub(crate) fn restore_payload(
+    kind: SummaryKind,
+    payload: &[u8],
+) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
+    use crate::adaptive::{fixed_budget::FixedBudgetAdaptiveHull, stream::AdaptiveHull};
+    use crate::uniform::{NaiveUniformHull, UniformHull};
+    use crate::{cluster::ClusterHull, exact::ExactHull, frozen::FrozenHull, radial::RadialHull};
+    fn boxed<T: Mergeable + Send + Sync + 'static>(
+        payload: &[u8],
+        read: impl FnOnce(&mut Reader<'_>) -> Result<T, SnapshotError>,
+    ) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
+        Ok(Box::new(read_payload(payload, read)?))
+    }
+    match kind {
+        SummaryKind::Exact => boxed(payload, ExactHull::from_snapshot_payload),
+        SummaryKind::UniformNaive => boxed(payload, NaiveUniformHull::from_snapshot_payload),
+        SummaryKind::Uniform => boxed(payload, UniformHull::from_snapshot_payload),
+        SummaryKind::Radial => boxed(payload, RadialHull::from_snapshot_payload),
+        SummaryKind::Frozen => boxed(payload, FrozenHull::from_snapshot_payload),
+        SummaryKind::Adaptive => boxed(payload, AdaptiveHull::from_snapshot_payload),
         SummaryKind::AdaptiveFixedBudget => {
-            Box::new(crate::adaptive::fixed_budget::FixedBudgetAdaptiveHull::decode(bytes)?)
+            boxed(payload, FixedBudgetAdaptiveHull::from_snapshot_payload)
         }
-        SummaryKind::Cluster => Box::new(crate::cluster::ClusterHull::decode(bytes)?),
-    })
+        SummaryKind::Cluster => boxed(payload, ClusterHull::from_snapshot_payload),
+    }
 }
 
 /// The [`SummaryKind`] a snapshot envelope holds, without decoding the
 /// payload (`None` for a windowed or checkpoint envelope).
 pub fn peek_kind(bytes: &[u8]) -> Result<Option<SummaryKind>, SnapshotError> {
-    let (tag, _) = open(bytes)?;
-    if tag == WINDOWED_TAG || tag == CHECKPOINT_TAG {
-        return Ok(None);
+    match open_summary(bytes) {
+        Ok((kind, _)) => Ok(Some(kind)),
+        Err(SnapshotError::KindMismatch { .. }) => Ok(None),
+        Err(e) => Err(e),
     }
-    SummaryKind::ALL
-        .get(tag as usize)
-        .copied()
-        .map(Some)
-        .ok_or(SnapshotError::UnknownKind(tag))
 }
 
 #[cfg(test)]

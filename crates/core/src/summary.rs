@@ -200,8 +200,9 @@ pub trait HullSummary: Debug {
     /// rate covering the sample itself and the cached-hull / certificate
     /// slack around it. Backends with structure the sample size does not
     /// reflect (fixed direction fans, sector tables) override it — and
-    /// backends whose tables are *shared* across streams (see
-    /// [`crate::tenant::TenantEngine`]) stop charging per stream for them.
+    /// backends whose tables are *shared* across streams (the tenant
+    /// engine's frozen fans, the process-wide unit tables) stop charging
+    /// per stream for them.
     fn approx_bytes(&self) -> usize {
         96 + self.sample_size() * 48
     }

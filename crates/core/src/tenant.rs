@@ -19,15 +19,16 @@
 //!   [`PressureReport`], the resource-pressure mirror of
 //!   [`crate::recovery::RecoveryReport`].
 //! * **Hot/cold tiering** — idle streams spill to
-//!   [`snapshot`](crate::snapshot) envelopes on an idle-tick policy and
+//!   [`snapshot`] envelopes on an idle-tick policy and
 //!   restore bit-exactly on touch. A corrupt or truncated spill is caught
 //!   by the hardened decode path and quarantines *only that tenant*; every
 //!   other stream keeps serving.
-//! * **Shared immutable tables** — the frozen direction fan and the radial
-//!   sector table are pure functions of `(r, seed)` and `r`; the engine
-//!   builds each once and shares the allocation across every stream of
-//!   that configuration (and re-interns it on restore), so a million
-//!   radial tenants carry one sector table, not a million.
+//! * **Shared immutable tables** — the frozen direction fan is a pure
+//!   function of `(r, seed)`; the engine builds it once and shares the
+//!   allocation across every stream of that configuration (and re-interns
+//!   it on restore). The other direction tables (uniform, radial, the
+//!   adaptive grid) are process-wide already ([`geom::dyadic::unit_vectors`]),
+//!   so a million radial tenants carry one sector table, not a million.
 //! * **Bulk interleaved ingest** — `(stream, point)` traffic is grouped
 //!   per call and, via [`ShardedTenants`], routed across engine shards by
 //!   stream-id hash on scoped threads. Per-stream backfill composes with
@@ -42,9 +43,8 @@ use crate::frozen::FrozenHull;
 use crate::fxhash::FxBuild;
 use crate::parallel::ShardedIngest;
 use crate::queries::MultiStreamTracker;
-use crate::radial::RadialHull;
 use crate::recovery::{RecoveryReport, SupervisedIngest};
-use crate::snapshot::{peek_kind, Snapshot, SnapshotError};
+use crate::snapshot::{self, SnapshotError};
 use crate::summary::{HullSummary, Mergeable};
 use crate::telemetry::{names, Level, Tally, Telemetry};
 use geom::{ConvexPolygon, Point2, Vec2};
@@ -596,8 +596,6 @@ pub struct TenantEngine {
     index: HashMap<StreamId, usize, FxBuild>,
     /// Shared frozen direction fans, one per `(r, seed)`.
     fans: HashMap<(u32, u64), Arc<[Vec2]>>,
-    /// Shared radial sector tables, one per `r`.
-    sectors: HashMap<u32, Arc<[(Vec2, bool)]>>,
     clock: u64,
     /// Source of [`Tenant::epoch`] stamps; see that field for the contract.
     next_epoch: u64,
@@ -615,7 +613,6 @@ impl TenantEngine {
             free: Vec::new(),
             index: HashMap::default(),
             fans: HashMap::new(),
-            sectors: HashMap::new(),
             clock: 0,
             next_epoch: 0,
             ledger: Ledger::register(config.telemetry),
@@ -1230,8 +1227,9 @@ impl TenantEngine {
         Ok((idx, true))
     }
 
-    /// Builds a summary for `builder`, sharing the frozen fan / radial
-    /// sector table (one allocation per configuration, not per stream).
+    /// Builds a summary for `builder`, sharing the frozen fan (one
+    /// allocation per configuration, not per stream; the other kinds'
+    /// direction tables are process-wide already).
     fn build_summary(&mut self, builder: &SummaryBuilder) -> Box<dyn Mergeable + Send + Sync> {
         match builder.kind() {
             SummaryKind::Frozen => {
@@ -1243,43 +1241,26 @@ impl TenantEngine {
                     .clone();
                 Box::new(FrozenHull::from_shared_units(fan))
             }
-            SummaryKind::Radial => {
-                let r = builder.r().max(4);
-                let table = self
-                    .sectors
-                    .entry(r)
-                    .or_insert_with(|| RadialHull::sector_bounds(r))
-                    .clone();
-                Box::new(RadialHull::with_shared_bounds(r, table))
-            }
             _ => builder.build_mergeable(),
         }
     }
 
-    /// Hardened decode with table re-interning: a restored frozen/radial
-    /// summary's private fan or sector table is swapped for the engine's
+    /// Hardened decode (one checksum pass) with fan re-interning: a
+    /// restored frozen summary's private fan is swapped for the engine's
     /// shared allocation when bit-identical.
     fn decode_interned(
-        &mut self,
+        &self,
         bytes: &[u8],
     ) -> Result<Box<dyn Mergeable + Send + Sync>, SnapshotError> {
-        match peek_kind(bytes)? {
-            Some(SummaryKind::Frozen) => {
-                let mut f = FrozenHull::decode(bytes)?;
-                for table in self.fans.values() {
-                    f.intern_directions(table);
-                }
-                Ok(Box::new(f))
-            }
-            Some(SummaryKind::Radial) => {
-                let mut h = RadialHull::decode(bytes)?;
-                if let Some(table) = self.sectors.get(&h.r()) {
-                    h.intern_bounds(table);
-                }
-                Ok(Box::new(h))
-            }
-            _ => crate::snapshot::restore_mergeable(bytes),
+        let (kind, payload) = snapshot::open_summary(bytes)?;
+        if kind != SummaryKind::Frozen {
+            return snapshot::restore_payload(kind, payload);
         }
+        let mut f = snapshot::read_payload(payload, FrozenHull::from_snapshot_payload)?;
+        for table in self.fans.values() {
+            f.intern_directions(table);
+        }
+        Ok(Box::new(f))
     }
 
     /// Hot → cold. `true` if a spill happened.
@@ -1319,7 +1300,7 @@ impl TenantEngine {
 
     /// Cold → hot (bit-exact), quarantining the tenant on a failed decode.
     fn make_hot(&mut self, idx: usize) -> Result<(), AdmissionError> {
-        let (id, envelope) = match self.slots.get(idx).and_then(|s| s.as_ref()) {
+        let (id, envelope_len, decoded) = match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(t) => match &t.residency {
                 Residency::Hot(_) => return Ok(()),
                 Residency::Quarantined(e) => {
@@ -1328,7 +1309,7 @@ impl TenantEngine {
                         error: e.clone(),
                     })
                 }
-                Residency::Cold(bytes) => (t.id, bytes.clone()),
+                Residency::Cold(bytes) => (t.id, bytes.len(), self.decode_interned(bytes)),
             },
             None => {
                 return Err(AdmissionError::UnknownStream {
@@ -1336,7 +1317,7 @@ impl TenantEngine {
                 })
             }
         };
-        match self.decode_interned(&envelope) {
+        match decoded {
             Ok(summary) => {
                 let live = summary.approx_bytes();
                 let epoch = self.fresh_epoch();
@@ -1351,7 +1332,7 @@ impl TenantEngine {
                 self.push_event(
                     id,
                     PressureAction::Restored {
-                        bytes: envelope.len(),
+                        bytes: envelope_len,
                     },
                 );
                 Ok(())
@@ -1958,21 +1939,22 @@ mod tests {
 
     #[test]
     fn shared_tables_one_allocation_per_config() {
-        // 50 radial tenants: the sector table is charged to none of them
-        // once shared, so per-tenant cost is near the bucket array alone.
+        // 50 radial tenants: the sector table is the process-wide one and
+        // charged to none of them, so per-tenant cost is the bucket array
+        // alone, the same as a standalone summary's.
         let mut e = engine(SummaryKind::Radial);
         for i in 0..50 {
             e.insert_batch(StreamId(i), &ring(8, i as f64, 0.0, 1.0))
                 .unwrap();
         }
-        let solo = {
-            let h = RadialHull::new(16);
-            h.approx_bytes()
-        };
+        let solo = crate::radial::RadialHull::new(16).approx_bytes();
         let shared = e.stats(StreamId(0)).unwrap().bytes;
+        assert_eq!(shared, solo);
+        let charged_table = 16 * core::mem::size_of::<Vec2>();
+        let buckets = 16 * core::mem::size_of::<Option<(f64, Point2)>>();
         assert!(
-            shared < solo,
-            "shared-table tenant ({shared} B) should be cheaper than solo ({solo} B)"
+            shared < 96 + charged_table + buckets,
+            "shared-table tenant ({shared} B) must not pay for the table"
         );
     }
 

@@ -20,13 +20,16 @@
 use crate::batch::{incircle, BatchScratch, CertCache, BATCH_LEAF, PREFILTER_MIN_DIRS};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use core::f64::consts::TAU;
+use geom::dyadic::unit_vectors;
 use geom::tangent::visible_chain;
 use geom::{ConvexPolygon, Point2, Vec2};
+use std::borrow::Cow;
 
 /// The naive `O(r)`-per-point uniformly sampled hull (FKZ baseline).
 #[derive(Clone, Debug)]
 pub struct NaiveUniformHull {
-    units: Vec<Vec2>,
+    /// The process-wide unit table for `r` (see [`geom::dyadic::unit_vectors`]).
+    units: Cow<'static, [Vec2]>,
     extrema: Vec<Point2>,
     /// Cached support values `extrema[j].dot(units[j])`, kept in lockstep
     /// with `extrema` so the per-point scan compares against a stored
@@ -44,11 +47,8 @@ impl NaiveUniformHull {
     /// Creates the summary with `r >= 4` sample directions.
     pub fn new(r: u32) -> Self {
         assert!(r >= 4, "need at least 4 directions, got {r}");
-        let units = (0..r)
-            .map(|j| Vec2::from_angle(TAU * j as f64 / r as f64))
-            .collect();
         NaiveUniformHull {
-            units,
+            units: unit_vectors(r as u64),
             extrema: Vec::new(),
             dots: Vec::new(),
             seen: 0,
@@ -89,7 +89,7 @@ impl NaiveUniformHull {
             .extrema
             .iter_mut()
             .zip(self.dots.iter_mut())
-            .zip(&self.units)
+            .zip(self.units.iter())
         {
             let nd = p.dot(*u);
             if nd > *d {
@@ -139,7 +139,7 @@ impl NaiveUniformHull {
             }
             s.dots = extrema
                 .iter()
-                .zip(&s.units)
+                .zip(s.units.iter())
                 .map(|(e, &u)| e.dot(u))
                 .collect();
             s.extrema = extrema;
@@ -330,7 +330,8 @@ pub enum UniformEffect {
 pub struct UniformHull {
     r: u32,
     theta0: f64,
-    units: Vec<Vec2>,
+    /// The process-wide unit table for `r` (see [`geom::dyadic::unit_vectors`]).
+    units: Cow<'static, [Vec2]>,
     /// Direction ownership runs, sorted by `lo`, partitioning `0..r`.
     runs: Vec<DirRun>,
     /// Strict convex hull of the extrema (cached eagerly — refreshed only
@@ -354,13 +355,10 @@ impl UniformHull {
     /// Creates the summary with `r >= 4` sample directions.
     pub fn new(r: u32) -> Self {
         assert!(r >= 4, "need at least 4 directions, got {r}");
-        let units = (0..r)
-            .map(|j| Vec2::from_angle(TAU * j as f64 / r as f64))
-            .collect();
         UniformHull {
             r,
             theta0: TAU / r as f64,
-            units,
+            units: unit_vectors(r as u64),
             runs: Vec::new(),
             hull: ConvexPolygon::empty(),
             perimeter: 0.0,
@@ -838,6 +836,29 @@ mod tests {
 
     fn p(x: f64, y: f64) -> Point2 {
         Point2::new(x, y)
+    }
+
+    #[test]
+    fn uniform_units_are_the_grid_units_bit_for_bit() {
+        let bits = |v: Vec2| (v.x.to_bits(), v.y.to_bits());
+        for r in [8u32, 16, 32, 64, 256] {
+            let uniform = UniformHull::new(r);
+            let naive = NaiveUniformHull::new(r);
+            let sectors = crate::radial::RadialHull::sector_bounds(r);
+            assert!(
+                matches!(sectors, Cow::Borrowed(_)),
+                "r={r} shares the table"
+            );
+            for depth in [0, r.trailing_zeros()] {
+                let grid = geom::DirGrid::new(r, depth);
+                for j in 0..r {
+                    let want = bits(grid.unit(grid.uniform_dir(j)));
+                    assert_eq!(bits(uniform.unit(j)), want, "uniform r={r} j={j}");
+                    assert_eq!(bits(naive.unit(j)), want, "naive r={r} j={j}");
+                    assert_eq!(bits(sectors[j as usize]), want, "radial r={r} j={j}");
+                }
+            }
+        }
     }
 
     fn lcg_points(seed: u64, n: usize, scale: f64) -> Vec<Point2> {

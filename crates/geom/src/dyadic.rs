@@ -9,11 +9,52 @@
 //!
 //! [`DirGrid`] owns the parameters; [`Dir`] is an index on that circle; and
 //! [`DirRange`] is a closed angular interval with exact midpoint bisection.
-//! Unit vectors are derived on demand (and are the *only* place floating
-//! point enters).
+//! Unit vectors are the *only* place floating point enters. They come from
+//! one table per circle resolution ([`unit_vectors`]), built on first use
+//! and shared by every grid and uniform summary in the process, so a
+//! freshly built or restored summary pays no trigonometry. Circles finer
+//! than 2^16 steps compute each vector on demand with the same expression,
+//! so tabled and untabled vectors agree bit for bit.
 
 use crate::point::Vec2;
 use core::f64::consts::TAU;
+use std::borrow::Cow;
+use std::sync::OnceLock;
+
+/// Largest circle resolution (a power of two) whose unit vectors are
+/// tabled: 2^16 entries, 1 MiB. Finer circles compute on demand.
+const UNIT_TABLE_CAP: u64 = 1 << 16;
+
+/// The unit vector `(cos, sin)(2π·i / resolution)`: the one expression
+/// behind every table entry and every untabled direction.
+#[inline]
+fn unit_at(i: u64, resolution: u64) -> Vec2 {
+    Vec2::from_angle(TAU * i as f64 / resolution as f64)
+}
+
+/// The shared table of [`unit_at`]`(i, resolution)` for
+/// `i < resolution`, built once per process on first use. `None` unless
+/// `resolution` is a power of two no larger than [`UNIT_TABLE_CAP`].
+fn unit_table(resolution: u64) -> Option<&'static [Vec2]> {
+    static TABLES: [OnceLock<Box<[Vec2]>>; UNIT_TABLE_CAP.trailing_zeros() as usize + 1] =
+        [const { OnceLock::new() }; UNIT_TABLE_CAP.trailing_zeros() as usize + 1];
+    if !resolution.is_power_of_two() || resolution > UNIT_TABLE_CAP {
+        return None;
+    }
+    let slot = TABLES.get(resolution.trailing_zeros() as usize)?;
+    Some(slot.get_or_init(|| (0..resolution).map(|i| unit_at(i, resolution)).collect()))
+}
+
+/// All `resolution` unit vectors `(cos, sin)(2π·i / resolution)`: a
+/// borrowed process-wide table, built on first use, when `resolution` is a
+/// power of two up to 2^16; else a freshly computed vector with the same
+/// bits.
+pub fn unit_vectors(resolution: u64) -> Cow<'static, [Vec2]> {
+    match unit_table(resolution) {
+        Some(table) => Cow::Borrowed(table),
+        None => Cow::Owned((0..resolution).map(|i| unit_at(i, resolution)).collect()),
+    }
+}
 
 /// A direction index on a circle subdivided into `resolution` equal parts.
 ///
@@ -25,7 +66,10 @@ pub struct Dir(pub u64);
 
 /// The set of directions expressible as depth-`<= k` dyadic refinements of
 /// `r` uniform directions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Two grids are equal when their `r` and depth agree (the unit table is a
+/// pure function of those).
+#[derive(Clone, Copy)]
 pub struct DirGrid {
     /// Number of uniform (top-level) directions; must be a power of two >= 4.
     r: u32,
@@ -33,6 +77,26 @@ pub struct DirGrid {
     depth: u32,
     /// `r << depth`: number of grid steps around the full circle.
     resolution: u64,
+    /// The shared [`unit_table`] for `resolution`; empty above the cap.
+    units: &'static [Vec2],
+}
+
+impl PartialEq for DirGrid {
+    fn eq(&self, other: &Self) -> bool {
+        (self.r, self.depth) == (other.r, other.depth)
+    }
+}
+
+impl Eq for DirGrid {}
+
+impl core::fmt::Debug for DirGrid {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("DirGrid")
+            .field("r", &self.r)
+            .field("depth", &self.depth)
+            .field("resolution", &self.resolution)
+            .finish()
+    }
 }
 
 impl DirGrid {
@@ -51,10 +115,12 @@ impl DirGrid {
             "r must be in [8, 2^20], got {r}"
         );
         assert!(depth <= 32, "depth must be <= 32, got {depth}");
+        let resolution = (r as u64) << depth;
         DirGrid {
             r,
             depth,
-            resolution: (r as u64) << depth,
+            resolution,
+            units: unit_table(resolution).unwrap_or_default(),
         }
     }
 
@@ -109,10 +175,14 @@ impl DirGrid {
         TAU * (d.0 as f64) / (self.resolution as f64)
     }
 
-    /// Unit vector of direction `d`.
+    /// Unit vector of direction `d`: a shared-table read, or the same
+    /// bits computed on demand on grids finer than 2^16 steps.
     #[inline]
     pub fn unit(&self, d: Dir) -> Vec2 {
-        Vec2::from_angle(self.angle(d))
+        match self.units.get(d.0 as usize) {
+            Some(&u) => u,
+            None => unit_at(d.0, self.resolution),
+        }
     }
 
     /// Adds `steps` grid steps to `d`, wrapping around the circle.
@@ -343,6 +413,56 @@ mod tests {
         let g = DirGrid::with_default_depth(64);
         assert_eq!(g.depth(), 6);
         assert_eq!(g.resolution(), 64 * 64);
+    }
+
+    fn bits(v: Vec2) -> (u64, u64) {
+        (v.x.to_bits(), v.y.to_bits())
+    }
+
+    #[test]
+    fn unit_table_entries_match_the_angle_formula_bit_for_bit() {
+        for r in [8u32, 16, 32, 64, 256] {
+            for depth in 0..=r.trailing_zeros() {
+                let g = DirGrid::new(r, depth);
+                let table = unit_table(g.resolution()).expect("tabled below the cap");
+                assert_eq!(table.len() as u64, g.resolution());
+                for (i, &u) in table.iter().enumerate() {
+                    let d = Dir(i as u64);
+                    let expect = bits(Vec2::from_angle(g.angle(d)));
+                    assert_eq!(bits(u), expect, "r={r} depth={depth} i={i}");
+                    assert_eq!(bits(g.unit(d)), expect, "r={r} depth={depth} i={i}");
+                }
+                // Same shape, same shared allocation.
+                let again = unit_table(g.resolution()).unwrap();
+                assert!(core::ptr::eq(table, again));
+            }
+        }
+    }
+
+    #[test]
+    fn grids_above_the_cap_compute_the_same_bits() {
+        let g = DirGrid::new(1 << 10, 7);
+        assert!(g.resolution() > UNIT_TABLE_CAP);
+        assert!(unit_table(g.resolution()).is_none());
+        for i in (0..g.resolution()).step_by(97).chain([g.resolution() - 1]) {
+            let d = Dir(i);
+            assert_eq!(bits(g.unit(d)), bits(Vec2::from_angle(g.angle(d))), "i={i}");
+        }
+        assert!(matches!(unit_vectors(12), Cow::Owned(_)));
+        assert!(matches!(unit_vectors(16), Cow::Borrowed(_)));
+        for (i, &u) in unit_vectors(12).iter().enumerate() {
+            assert_eq!(bits(u), bits(Vec2::from_angle(TAU * i as f64 / 12.0)));
+        }
+    }
+
+    #[test]
+    fn grid_equality_and_debug_follow_the_shape() {
+        assert_eq!(DirGrid::new(16, 4), DirGrid::with_default_depth(16));
+        assert_ne!(DirGrid::new(16, 2), DirGrid::new(16, 3));
+        assert_eq!(
+            format!("{:?}", DirGrid::new(8, 1)),
+            "DirGrid { r: 8, depth: 1, resolution: 16 }"
+        );
     }
 
     #[test]

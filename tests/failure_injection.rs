@@ -395,6 +395,24 @@ fn shard_runs_report_elapsed_wall_time() {
     assert!(windowed.elapsed() > std::time::Duration::ZERO);
 }
 
+/// FNV-1a 64, the envelope checksum, recomputed independently of the
+/// library so tests can forge checksum-valid bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Recomputes an envelope's trailing checksum over everything before it.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
 fn all_kind_snapshots() -> Vec<(SummaryKind, Vec<u8>)> {
     let pts = spiral(300);
     SummaryKind::ALL
@@ -498,20 +516,10 @@ fn kind_tag_swaps_are_rejected() {
 
     // Unknown tag with a *recomputed* (valid) checksum: the tag dispatch
     // itself must reject it, not just the checksum.
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
     let (_, bytes) = &snapshots[0];
     let mut patched = bytes.clone();
     patched[6] = 77; // unknown kind tag
-    let body_len = patched.len() - 8;
-    let checksum = fnv1a64(&patched[..body_len]);
-    patched[body_len..].copy_from_slice(&checksum.to_le_bytes());
+    reseal(&mut patched);
     assert_eq!(
         SummaryBuilder::restore(&patched).unwrap_err(),
         SnapshotError::UnknownKind(77)
@@ -542,21 +550,6 @@ fn snapshot_errors_display_usefully() {
 /// gap: the bit-flip fuzz only covers corruption of *valid* snapshots).
 #[test]
 fn forged_checksum_valid_payloads_are_rejected() {
-    fn fnv1a64(bytes: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-    fn reseal(bytes: &mut [u8]) {
-        let body = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body]);
-        let len = bytes.len();
-        bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
-    }
-
     // Cluster snapshot with r forged to 0: must not decode into a summary
     // that panics when its first cluster opens.
     let cluster = ClusterHull::new(ClusterHullConfig::new(2).with_r(16));
@@ -580,4 +573,99 @@ fn forged_checksum_valid_payloads_are_rejected() {
         Err(SnapshotError::Malformed(_)) => {}
         other => panic!("forged NaN extremum must be Malformed, got {other:?}"),
     }
+}
+
+/// Fixed, trig-free input for the wire pins: a scrambled lattice of
+/// dyadic rationals, so the points are bit-identical on every platform.
+fn golden_points(n: u64) -> Vec<Point2> {
+    (0..n)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            let x = (h % 4001) as f64 / 64.0 - 31.25;
+            let y = ((h / 4001) % 1201) as f64 / 32.0 - 18.75;
+            Point2::new(x, y)
+        })
+        .collect()
+}
+
+/// The windowed chain the wire pins use.
+fn golden_windowed() -> Vec<u8> {
+    let mut w = SummaryBuilder::new(SummaryKind::Adaptive)
+        .with_r(16)
+        .windowed(WindowConfig::last_n(200).with_granularity(64));
+    w.insert_batch(&golden_points(500));
+    Snapshot::encode(&w)
+}
+
+/// Wire-format pin: the envelopes of all eight backends and of one
+/// windowed chain, built from fixed inputs, must keep their recorded
+/// lengths and FNV-1a digests. A decode/encode optimisation that changes
+/// a single stored byte fails here.
+#[test]
+fn snapshot_wire_bytes_match_golden_digests() {
+    const GOLDEN: [(&str, usize, u64); 9] = [
+        ("exact", 240, 0x9350_9bff_8093_f1a3),
+        ("uniform-naive", 300, 0x3120_bd78_e453_8b92),
+        ("uniform", 364, 0x97c6_c791_494a_2ead),
+        ("radial", 149, 0xb634_289c_2150_ad87),
+        ("frozen", 560, 0xe75e_a80b_8789_df5e),
+        ("adaptive", 1276, 0xf04a_5365_ef6a_7628),
+        ("adaptive-2r", 2052, 0x089c_8e2e_bcd9_a61b),
+        ("cluster", 5084, 0xf132_023f_b66e_1b34),
+        ("windowed", 4044, 0x8790_4822_e507_546b),
+    ];
+    let pts = golden_points(400);
+    let mut got: Vec<(&str, usize, u64)> = SummaryKind::ALL
+        .iter()
+        .map(|&kind| {
+            let mut s = SummaryBuilder::new(kind).with_r(16).build_mergeable();
+            s.insert_batch(&pts);
+            let bytes = s.encode_snapshot();
+            (kind.label(), bytes.len(), fnv1a64(&bytes))
+        })
+        .collect();
+    let windowed = golden_windowed();
+    got.push(("windowed", windowed.len(), fnv1a64(&windowed)));
+    assert_eq!(got, GOLDEN, "snapshot wire bytes drifted");
+}
+
+/// Offset of the first nested envelope inside `outer`'s payload.
+fn nested_envelope_offset(outer: &[u8]) -> usize {
+    (16..outer.len() - 8)
+        .find(|&i| outer[i..].starts_with(b"HSNP"))
+        .expect("a nested envelope")
+}
+
+/// A forger who re-seals the *outer* checksum after corrupting a nested
+/// envelope still fails: every nested envelope (a windowed chain's bucket,
+/// a checkpoint's inner snapshot) is verified on its own.
+#[test]
+fn nested_envelope_forgeries_are_rejected() {
+    // Windowed chain: corrupt a byte inside the first bucket's payload.
+    let mut forged = golden_windowed();
+    assert!(WindowedSummary::decode(&forged).is_ok());
+    let at = nested_envelope_offset(&forged) + 20;
+    forged[at] ^= 0x5a;
+    reseal(&mut forged);
+    assert_eq!(
+        WindowedSummary::decode(&forged).err(),
+        Some(SnapshotError::ChecksumMismatch)
+    );
+
+    // Checkpoint: corrupt a byte inside the inner snapshot.
+    let mut inner = SummaryBuilder::new(SummaryKind::Adaptive)
+        .with_r(16)
+        .build_mergeable();
+    inner.insert_batch(&golden_points(300));
+    let mut sealed = snapshot::seal_checkpoint(2, 300, &inner.encode_snapshot());
+    let env = snapshot::open_checkpoint(&sealed).unwrap();
+    assert!(SummaryBuilder::restore(env.snapshot).is_ok());
+    let at = nested_envelope_offset(&sealed) + 20;
+    sealed[at] ^= 0x5a;
+    reseal(&mut sealed);
+    let env = snapshot::open_checkpoint(&sealed).expect("outer envelope re-sealed");
+    assert_eq!(
+        SummaryBuilder::restore(env.snapshot).err(),
+        Some(SnapshotError::ChecksumMismatch)
+    );
 }

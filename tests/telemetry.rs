@@ -288,7 +288,26 @@ fn merge_is_exact_and_deterministic_under_contention() {
     });
     let a = tel.scrape();
     let b = tel.scrape();
-    assert_eq!(a, b, "quiesced scrapes must be identical");
+    // Compare the registry's own samples only: `hot` is a process-wide
+    // kernel tally that sibling tests in this binary bump concurrently
+    // between the two scrapes, so it is not quiesced here.
+    assert_eq!(
+        (
+            &a.counters,
+            &a.gauges,
+            &a.histograms,
+            &a.events,
+            a.events_dropped
+        ),
+        (
+            &b.counters,
+            &b.gauges,
+            &b.histograms,
+            &b.events,
+            b.events_dropped
+        ),
+        "quiesced scrapes must be identical"
+    );
     assert_eq!(
         a.counter_with("streamhull_contended_total", &[]),
         Some(threads * per_thread)

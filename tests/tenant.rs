@@ -190,6 +190,60 @@ proptest! {
     }
 }
 
+/// Exhaustive blast-radius sweep: corrupting any single byte of one
+/// adaptive tenant's cold envelope quarantines exactly that tenant, and
+/// its neighbours restore bit-exactly. The one checksum pass per restore
+/// must still see every offset.
+#[test]
+fn every_corrupt_byte_of_a_cold_envelope_quarantines_only_its_tenant() {
+    let stream = |t: u64| -> Vec<Point2> {
+        (0..150u64)
+            .map(|i| {
+                let h = (i + 1000 * t).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 44;
+                Point2::new((h % 512) as f64 / 8.0, (h / 512 % 64) as f64 / 4.0)
+            })
+            .collect()
+    };
+    let config = TenantConfig::new(SummaryBuilder::new(SummaryKind::Adaptive).with_r(16));
+    let cold_engine = || {
+        let mut engine = TenantEngine::new(config);
+        for t in 0..3u64 {
+            engine.insert_batch(StreamId(t), &stream(t)).unwrap();
+            assert!(engine.spill(StreamId(t)));
+        }
+        engine
+    };
+    let mut reference = cold_engine();
+    let want: Vec<_> = (0..3u64)
+        .map(|t| fingerprint(reference.summary(StreamId(t)).unwrap()))
+        .collect();
+    let victim = StreamId(1);
+    let len = cold_engine().spilled_bytes(victim).unwrap().len();
+    assert!(
+        len > 1000,
+        "an adaptive envelope of {len} bytes is too small to sweep"
+    );
+    for offset in 0..len {
+        let mut engine = cold_engine();
+        assert!(engine.corrupt_spill(victim, offset, 1 << (offset % 8)));
+        match engine.summary(victim) {
+            Err(AdmissionError::Quarantined { stream, .. }) => assert_eq!(stream, victim),
+            other => panic!(
+                "offset {offset}: expected Quarantined, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        assert_eq!(engine.quarantined_count(), 1, "offset {offset}");
+        for t in [0u64, 2] {
+            let got = fingerprint(engine.summary(StreamId(t)).unwrap());
+            assert_eq!(
+                got, want[t as usize],
+                "offset {offset}: tenant {t} disturbed"
+            );
+        }
+    }
+}
+
 /// Deterministic end-to-end drill of the interleaved bulk path: skewed
 /// multi-tenant traffic through [`ShardedTenants`] matches a serial
 /// [`TenantEngine`] fed the same pairs, tenant by tenant.
