@@ -10,11 +10,11 @@
 //! [`AdaptiveHull`](crate::adaptive::stream::AdaptiveHull) — which also
 //! makes it a useful cross-check of the tree-based implementation.
 
+use crate::adaptive::arc::ArcTest;
 use crate::adaptive::weight::{slant, uncertainty, weight};
 use crate::batch::{incircle, CertCache, BATCH_LEAF};
 use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
 use crate::uniform::{BeatenArc, UniformEffect, UniformHull};
-use core::f64::consts::TAU;
 use geom::dyadic::{DirGrid, DirRange};
 use geom::{ConvexPolygon, Point2, UncertaintyTriangle, Vec2};
 
@@ -241,17 +241,10 @@ impl FixedBudgetAdaptiveHull {
     }
 
     fn update_leaves(&mut self, q: Point2, arc: &BeatenArc) {
-        const PAD: f64 = 1e-9;
-        let b_span = (arc.end - arc.start).rem_euclid(TAU);
+        let arc = ArcTest::new(arc);
         let grid = self.grid;
         for leaf in &mut self.leaves {
-            let a_start = grid.angle(leaf.range.lo);
-            let a_span = leaf.range.width(&grid);
-            let contains =
-                |s: f64, span: f64, x: f64| ((x - s).rem_euclid(TAU)) <= span + 2.0 * PAD;
-            let overlaps = contains(a_start - PAD, a_span, arc.start)
-                || contains(arc.start - PAD, b_span, a_start);
-            if !overlaps {
+            if !arc.overlaps(&grid, &leaf.range) {
                 continue;
             }
             let ul = grid.unit(leaf.range.lo);
@@ -474,6 +467,7 @@ impl Mergeable for FixedBudgetAdaptiveHull {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::f64::consts::TAU;
 
     fn ellipse_pts(seed: u64, n: usize, aspect: f64, rot: f64) -> Vec<Point2> {
         let mut s = seed;

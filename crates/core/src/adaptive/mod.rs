@@ -1,6 +1,7 @@
 //! Adaptive sampling (papers §4 and §5): the static scheme, the streaming
 //! scheme, and the fixed-budget variant used by the paper's experiments.
 
+mod arc;
 pub mod arena;
 pub mod fixed_budget;
 pub mod queue;

@@ -33,6 +33,7 @@
 //!    [`crate::adaptive::queue::BucketQueue`] this may
 //!    unrefine up to a factor 2 early, as §5.3 allows.
 
+use crate::adaptive::arc::ArcTest;
 use crate::adaptive::arena::{Arena, NodeId};
 use crate::adaptive::queue::{BucketQueue, HeapQueue, UnrefineQueue};
 use crate::adaptive::weight::{slant, unrefine_threshold, weight};
@@ -316,6 +317,12 @@ impl AdaptiveHull {
     /// extremum is chosen among the stored endpoints — exactly the
     /// information available in a single pass (§5.2 step 5).
     fn try_refine(&mut self, id: NodeId) {
+        self.refine_with(id, None);
+    }
+
+    /// [`try_refine`](Self::try_refine), given the leaf's slant when the
+    /// caller has just computed it for the same endpoints and range.
+    fn refine_with(&mut self, id: NodeId, known_slant: Option<f64>) {
         let node = *self.node(id);
         let NodeKind::Leaf { a, b } = node.kind else {
             return;
@@ -324,7 +331,7 @@ impl AdaptiveHull {
             return;
         }
         let p = self.uniform.perimeter();
-        let s = slant(&self.grid, &node.range, a, b);
+        let s = known_slant.unwrap_or_else(|| slant(&self.grid, &node.range, a, b));
         if weight(s, node.range.depth, self.grid.r(), p) <= 1.0 {
             return;
         }
@@ -349,22 +356,11 @@ impl AdaptiveHull {
         self.try_refine(right);
     }
 
-    /// Does the node's angular range intersect the (padded) beaten arc?
-    fn range_overlaps_arc(&self, range: &DirRange, arc: &BeatenArc) -> bool {
-        const PAD: f64 = 1e-9;
-        let a_start = self.grid.angle(range.lo);
-        let a_span = range.width(&self.grid);
-        let b_start = arc.start;
-        let b_span = (arc.end - arc.start).rem_euclid(TAU);
-        let contains = |s: f64, span: f64, x: f64| ((x - s).rem_euclid(TAU)) <= span + 2.0 * PAD;
-        contains(a_start - PAD, a_span, b_start) || contains(b_start - PAD, b_span, a_start)
-    }
-
     /// Recursive update of a tree with a new point `q`. Returns `true` iff
     /// anything under `id` changed.
-    fn update_node(&mut self, id: NodeId, q: Point2, arc: &BeatenArc) -> bool {
+    fn update_node(&mut self, id: NodeId, q: Point2, arc: &ArcTest) -> bool {
         let node = *self.node(id);
-        if !self.range_overlaps_arc(&node.range, arc) {
+        if !arc.overlaps(&self.grid, &node.range) {
             return false;
         }
         match node.kind {
@@ -398,8 +394,10 @@ impl AdaptiveHull {
                     self.collapse(id);
                     // A collapsed edge may immediately need re-refinement
                     // with the new endpoints (weights are not monotone in
-                    // endpoint moves); keep the leaf invariant.
-                    self.try_refine(id);
+                    // endpoint moves); keep the leaf invariant. The leaf
+                    // has this node's endpoints and range, so `s` is its
+                    // slant.
+                    self.refine_with(id, Some(s));
                 } else {
                     self.queue
                         .push(unrefine_threshold(s, node.range.depth, self.grid.r()), id);
@@ -434,11 +432,10 @@ impl AdaptiveHull {
 
     /// Circular range of sector indices whose trees the arc may touch
     /// (padded one sector each side for floating-point safety).
-    fn sectors_for_arc(&self, arc: &BeatenArc) -> (u32, u32) {
+    fn sectors_for_arc(&self, arc: &BeatenArc, span: f64) -> (u32, u32) {
         let r = self.grid.r();
         let theta0 = TAU / r as f64;
         let s_start = (arc.start / theta0).floor() as i64;
-        let span = (arc.end - arc.start).rem_euclid(TAU);
         let sectors_spanned = (span / theta0).ceil() as i64 + 1;
         let first = (s_start - 1).rem_euclid(r as i64) as u32;
         let count = (sectors_spanned + 2).min(r as i64) as u32;
@@ -770,12 +767,13 @@ impl AdaptiveHull {
             }
             UniformEffect::Interior => false, // sample unchanged: keep the cache
             UniformEffect::Outside { arc, .. } => {
-                let (first, count) = self.sectors_for_arc(&arc);
+                let test = ArcTest::new(&arc);
+                let (first, count) = self.sectors_for_arc(&arc, test.span());
                 let r = self.grid.r();
                 for i in 0..count {
                     let s = (first + i) % r;
                     let root = self.roots[s as usize];
-                    self.update_node(root, q, &arc);
+                    self.update_node(root, q, &test);
                 }
                 self.drain_queue();
                 true

@@ -25,7 +25,9 @@
 //!   [`SummaryBuilder`] — so every backend, exact through cluster, windows
 //!   through one code path;
 //! * [`query_window`](WindowedSummary::query_window) merges the live
-//!   buckets (oldest → newest) into a fresh collector of the same kind and
+//!   buckets (oldest → newest) into a fresh collector of the same kind —
+//!   once per window state: the answer is cached until the next insert and
+//!   handed out as cheap clones sharing that collector — and
 //!   reports the hull together with a **composed error bound** (the sum of
 //!   the buckets' live bounds and accumulated merge debts plus the
 //!   collector's own bound — the same composition the sharded engine's
@@ -41,10 +43,11 @@
 //! buckets **in shard order** at query time (PR 3's determinism contract).
 
 use crate::builder::SummaryBuilder;
-use crate::summary::{GenCache, HullCache, HullSummary, Mergeable};
+use crate::summary::{HullSummary, Mergeable};
 use crate::telemetry::{names, Counter, Gauge, Telemetry};
 use geom::{ConvexPolygon, Point2};
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 /// The chain's registered instruments (all `Copy` no-ops until a
 /// [`Telemetry`] handle is attached via
@@ -202,13 +205,15 @@ impl Bucket {
 /// [`stale_duration`](WindowAnswer::stale_duration) before the window
 /// start) — stale points can only *enlarge* the reported hull, never lose
 /// a recent point.
-#[derive(Debug)]
+///
+/// Cloning is cheap: clones share one collector (and so its cached hull).
+#[derive(Clone, Debug)]
 #[must_use = "a window answer carries the merged summary and its error/staleness bounds"]
 pub struct WindowAnswer {
     /// The collector: a fresh summary of the configured kind that absorbed
     /// every live bucket, oldest to newest (and in shard order for sharded
-    /// windows).
-    pub summary: Box<dyn Mergeable + Send + Sync>,
+    /// windows). Shared by every clone of the answer; read-only.
+    pub summary: Arc<dyn Mergeable + Send + Sync>,
     /// Stream points covered by the merged buckets (in-window points plus
     /// at most [`stale_points`](WindowAnswer::stale_points) stale ones).
     pub merged_points: u64,
@@ -291,11 +296,10 @@ impl MergeStats {
     }
 
     /// Packages the accumulated bookkeeping with the collector that
-    /// absorbed the buckets (shared by the standalone and sharded query
-    /// paths).
+    /// absorbed the buckets.
     fn into_answer(self, collector: Box<dyn Mergeable + Send + Sync>) -> WindowAnswer {
         WindowAnswer {
-            summary: collector,
+            summary: collector.into(),
             merged_points: self.merged_points,
             stale_points: self.stale_points,
             stale_duration: self.stale_duration,
@@ -303,6 +307,22 @@ impl MergeStats {
             bucket_bound_sum: self.bound_sum,
         }
     }
+}
+
+/// The window answer over `chains`: their live buckets (w.r.t. the window
+/// anchored at `now`) merged, chain by chain, into one fresh collector
+/// built by `builder`. Shared by the standalone and sharded query paths.
+fn merge_chains<'a>(
+    builder: SummaryBuilder,
+    now: f64,
+    chains: impl IntoIterator<Item = &'a WindowedSummary>,
+) -> WindowAnswer {
+    let mut collector = builder.build_mergeable();
+    let mut stats = MergeStats::new();
+    for chain in chains {
+        chain.merge_window_into(now, collector.as_mut(), &mut stats);
+    }
+    stats.into_answer(collector)
 }
 
 /// A sliding-window wrapper around any
@@ -330,8 +350,8 @@ impl MergeStats {
 /// ```
 ///
 /// `WindowedSummary` also implements [`HullSummary`] itself —
-/// [`hull_ref`](HullSummary::hull_ref) is the *window* hull (rebuilt
-/// lazily per generation), **not** the whole-stream hull; `points_seen`
+/// [`hull_ref`](HullSummary::hull_ref) is the *window* hull (read from the
+/// cached window answer), **not** the whole-stream hull; `points_seen`
 /// still counts the whole stream. That makes windowed summaries drop-in
 /// sources for the §6 query layer.
 #[derive(Debug)]
@@ -346,8 +366,11 @@ pub struct WindowedSummary {
     clock: f64,
     /// Total stream points ever consumed (also the auto-tick source).
     total_seen: u64,
-    cache: HullCache,
-    bound_cache: GenCache<Option<f64>>,
+    /// Inserts so far: the window hull's generation.
+    generation: u64,
+    /// This generation's window answer, merged on first read. Every insert
+    /// path resets it, so a window state pays for one collector merge.
+    answer: OnceLock<WindowAnswer>,
     /// Reusable buffer for stripping timestamps off `(Point2, f64)`
     /// batches ([`insert_batch_timestamped`](WindowedSummary::insert_batch_timestamped)).
     scratch: Vec<Point2>,
@@ -374,8 +397,8 @@ impl WindowedSummary {
             head_open: false,
             clock: f64::NEG_INFINITY,
             total_seen: 0,
-            cache: HullCache::new(),
-            bound_cache: GenCache::new(),
+            generation: 0,
+            answer: OnceLock::new(),
             scratch: Vec::new(),
             instruments: WindowInstruments::noop(),
         }
@@ -426,7 +449,7 @@ impl WindowedSummary {
         }
         self.feed_with(&[p], &|_| t);
         self.expire();
-        self.cache.invalidate();
+        self.invalidate();
     }
 
     /// Feeds a batch of points that all arrived at time `t` (one sensor
@@ -443,7 +466,7 @@ impl WindowedSummary {
         }
         self.feed_with(pts, &|_| t);
         self.expire();
-        self.cache.invalidate();
+        self.invalidate();
     }
 
     /// Feeds a batch of individually timestamped points (the sharded
@@ -474,7 +497,7 @@ impl WindowedSummary {
         self.feed_with(&points, &|i| pts[i].1);
         self.scratch = points;
         self.expire();
-        self.cache.invalidate();
+        self.invalidate();
     }
 
     /// Feeds `pts` with consecutive auto-tick timestamps (1 tick per
@@ -487,7 +510,14 @@ impl WindowedSummary {
         let start = self.next_tick();
         self.feed_with(pts, &|i| start + i as f64);
         self.expire();
-        self.cache.invalidate();
+        self.invalidate();
+    }
+
+    /// Drops the cached window answer and advances the generation. Every
+    /// insert path calls it after feeding the chain.
+    fn invalidate(&mut self) {
+        self.generation += 1;
+        self.answer = OnceLock::new();
     }
 
     /// The timestamp the auto-tick path assigns to the next point.
@@ -643,7 +673,7 @@ impl WindowedSummary {
 
     /// Merges this chain's live buckets (w.r.t. the window anchored at
     /// `now`) into `collector`, oldest to newest, accumulating the answer
-    /// bookkeeping. Shared by the standalone and sharded query paths.
+    /// bookkeeping.
     fn merge_window_into(&self, now: f64, collector: &mut dyn Mergeable, stats: &mut MergeStats) {
         if self.total_seen == 0 {
             return;
@@ -689,14 +719,19 @@ impl WindowedSummary {
 
     /// Answers the window query: merges the live buckets into a fresh
     /// collector of the configured kind and reports the hull with its
-    /// composed error bound and staleness bound. `O(buckets · r)` — cheap
-    /// next to ingestion; for repeated between-insert queries prefer
-    /// [`hull_ref`](HullSummary::hull_ref), which caches per generation.
+    /// composed error bound and staleness bound. The merge
+    /// (`O(buckets · r)`) runs on the first read after an insert; later
+    /// reads, including [`hull_ref`](HullSummary::hull_ref) and
+    /// [`error_bound`](HullSummary::error_bound), share its cached answer,
+    /// and each call returns a clone holding the same collector.
     pub fn query_window(&self) -> WindowAnswer {
-        let mut collector = self.builder.build_mergeable();
-        let mut stats = MergeStats::new();
-        self.merge_window_into(self.clock, collector.as_mut(), &mut stats);
-        stats.into_answer(collector)
+        self.answer().clone()
+    }
+
+    /// This generation's window answer, merged on first use.
+    fn answer(&self) -> &WindowAnswer {
+        self.answer
+            .get_or_init(|| merge_chains(self.builder, self.clock, [self]))
     }
 
     /// Points currently stored across the chain (the window's memory
@@ -855,8 +890,8 @@ impl WindowedSummary {
             head_open,
             clock,
             total_seen,
-            cache: HullCache::new(),
-            bound_cache: GenCache::new(),
+            generation: 0,
+            answer: OnceLock::new(),
             scratch: Vec::new(),
             instruments: WindowInstruments::noop(),
         })
@@ -889,15 +924,14 @@ impl HullSummary for WindowedSummary {
         self.insert_batch_ticked(points);
     }
 
-    /// The **window** hull (not the whole-stream hull), lazily rebuilt per
-    /// generation from [`query_window`](WindowedSummary::query_window).
+    /// The **window** hull (not the whole-stream hull): the hull of the
+    /// cached [`query_window`](WindowedSummary::query_window) answer.
     fn hull_ref(&self) -> &ConvexPolygon {
-        self.cache
-            .get_or_rebuild(|| self.query_window().summary.hull())
+        self.answer().hull()
     }
 
     fn hull_generation(&self) -> u64 {
-        self.cache.generation()
+        self.generation
     }
 
     fn sample_size(&self) -> usize {
@@ -912,13 +946,10 @@ impl HullSummary for WindowedSummary {
         "windowed"
     }
 
-    /// The composed window bound ([`WindowAnswer::error_bound`]), memoised
-    /// per generation.
+    /// The composed window bound ([`WindowAnswer::error_bound`]) of the
+    /// cached window answer.
     fn error_bound(&self) -> Option<f64> {
-        self.bound_cache
-            .get_or_compute(self.cache.generation(), || {
-                self.query_window().error_bound()
-            })
+        self.answer().error_bound()
     }
 }
 
@@ -933,12 +964,17 @@ impl HullSummary for WindowedSummary {
 /// oldest bucket first within each shard** — for a fixed stream, summary
 /// configuration, shard count, and chunk size the answer is bit-identical
 /// across runs, exactly PR 3's determinism contract.
+///
+/// A run is immutable once built, so that merge runs once, on the first
+/// query.
 #[derive(Debug)]
 #[must_use = "a windowed run holds the per-shard window state; query it or inspect the shards"]
 pub struct WindowedRun {
     builder: SummaryBuilder,
     shards: Vec<WindowedSummary>,
     elapsed: std::time::Duration,
+    /// The union-window answer, merged on the first query.
+    answer: OnceLock<WindowAnswer>,
 }
 
 impl WindowedRun {
@@ -953,6 +989,7 @@ impl WindowedRun {
             builder,
             shards,
             elapsed,
+            answer: OnceLock::new(),
         }
     }
 
@@ -1004,14 +1041,16 @@ impl WindowedRun {
     /// [`WindowedSummary::query_window`]. Per-shard clocks may trail the
     /// global one by at most the in-flight chunks, which the liveness
     /// filter and staleness bounds already account for.
+    ///
+    /// The merge runs on the first call; every call returns a clone of
+    /// that answer, sharing its collector.
     pub fn query_window(&self) -> WindowAnswer {
-        let now = self.now().unwrap_or(f64::NEG_INFINITY);
-        let mut collector = self.builder.build_mergeable();
-        let mut stats = MergeStats::new();
-        for shard in &self.shards {
-            shard.merge_window_into(now, collector.as_mut(), &mut stats);
-        }
-        stats.into_answer(collector)
+        self.answer
+            .get_or_init(|| {
+                let now = self.now().unwrap_or(f64::NEG_INFINITY);
+                merge_chains(self.builder, now, &self.shards)
+            })
+            .clone()
     }
 }
 

@@ -196,7 +196,8 @@ impl DirGrid {
     #[inline]
     pub fn ccw_steps(&self, a: Dir, b: Dir) -> u64 {
         debug_assert!(a.0 < self.resolution && b.0 < self.resolution);
-        (b.0 + self.resolution - a.0) % self.resolution
+        // `resolution` is a power of two (`new` asserts `r` is one).
+        (b.0 + self.resolution - a.0) & (self.resolution - 1)
     }
 
     /// Converts an angle in radians (any value) to the nearest grid

@@ -78,7 +78,9 @@
 //! reports the window hull together with a composed error bound and an
 //! explicit **staleness bound** (at most `stale_points` points older than
 //! the window may be included — a window answer is approximate only at
-//! its oldest edge, and the slack shrinks as you refine the chain):
+//! its oldest edge, and the slack shrinks as you refine the chain). The
+//! bucket merge runs on the first read after an insert; later reads of
+//! the same window state return clones sharing that one answer:
 //!
 //! ```
 //! use streamhull::prelude::*;

@@ -13,7 +13,10 @@
 //! * batch boundaries are invisible, even when a batch straddles bucket
 //!   seals and expiry (the "expiry races the batch boundary" case);
 //! * the sharded windowed engine agrees with the standalone semantics
-//!   and is deterministic.
+//!   and is deterministic;
+//! * the cached window answer is transparent: a read returns exactly what
+//!   a never-read twin fed the same inserts returns, and repeated reads of
+//!   one window state share one collector.
 
 use proptest::prelude::*;
 use streamhull::prelude::*;
@@ -36,6 +39,111 @@ fn stream_strategy(max: usize) -> impl Strategy<Value = Vec<Point2>> {
 fn chain_strategy() -> impl Strategy<Value = (usize, usize)> {
     // (granularity g, buckets_per_level k)
     (1usize..24, 1usize..4)
+}
+
+/// One step of a mixed workload: each of the five insert paths, with
+/// timestamps as non-negative offsets from the clock at that step, or one
+/// of the three reads.
+#[derive(Clone, Debug)]
+enum Op {
+    Insert(Point2),
+    InsertBatch(Vec<Point2>),
+    InsertAt(Point2, f64),
+    InsertBatchAt(Vec<Point2>, f64),
+    InsertBatchTimestamped(Vec<(Point2, f64)>),
+    ReadHull,
+    ReadBound,
+    ReadQuery,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let batch = || prop::collection::vec(pt_strategy(), 0..12);
+    prop_oneof![
+        pt_strategy().prop_map(Op::Insert),
+        batch().prop_map(Op::InsertBatch),
+        (pt_strategy(), 0.0f64..3.0).prop_map(|(p, dt)| Op::InsertAt(p, dt)),
+        (batch(), 0.0f64..3.0).prop_map(|(pts, dt)| Op::InsertBatchAt(pts, dt)),
+        prop::collection::vec((pt_strategy(), 0.0f64..1.5), 0..12)
+            .prop_map(Op::InsertBatchTimestamped),
+        Just(Op::ReadHull),
+        Just(Op::ReadBound),
+        Just(Op::ReadQuery),
+    ]
+}
+
+/// Applies one insert op (reads are no-ops here); offsets become
+/// absolute timestamps from the summary's clock.
+fn apply(w: &mut WindowedSummary, op: &Op) {
+    let clock = w.now().unwrap_or(0.0);
+    match op {
+        Op::Insert(p) => w.insert(*p),
+        Op::InsertBatch(pts) => w.insert_batch(pts),
+        Op::InsertAt(p, dt) => w.insert_at(*p, clock + dt),
+        Op::InsertBatchAt(pts, dt) => w.insert_batch_at(pts, clock + dt),
+        Op::InsertBatchTimestamped(stamped) => {
+            let mut t = clock;
+            let stamped: Vec<(Point2, f64)> = stamped
+                .iter()
+                .map(|&(p, dt)| {
+                    t += dt;
+                    (p, t)
+                })
+                .collect();
+            w.insert_batch_timestamped(&stamped);
+        }
+        Op::ReadHull | Op::ReadBound | Op::ReadQuery => {}
+    }
+}
+
+fn hull_bits(h: &ConvexPolygon) -> Vec<(u64, u64)> {
+    h.vertices()
+        .iter()
+        .map(|v| (v.x.to_bits(), v.y.to_bits()))
+        .collect()
+}
+
+/// Everything a window answer reports, as bits: its bookkeeping, its
+/// hull, its composed bound and the collector's snapshot bytes.
+#[derive(Debug, PartialEq)]
+struct AnswerBits {
+    merged_points: u64,
+    stale_points: u64,
+    stale_duration: u64,
+    buckets: usize,
+    bucket_bound_sum: Option<u64>,
+    error_bound: Option<u64>,
+    hull: Vec<(u64, u64)>,
+    collector: Vec<u8>,
+}
+
+fn answer_bits(a: &WindowAnswer) -> AnswerBits {
+    AnswerBits {
+        merged_points: a.merged_points,
+        stale_points: a.stale_points,
+        stale_duration: a.stale_duration.to_bits(),
+        buckets: a.buckets,
+        bucket_bound_sum: a.bucket_bound_sum.map(f64::to_bits),
+        error_bound: a.error_bound().map(f64::to_bits),
+        hull: hull_bits(a.hull()),
+        collector: a.summary.encode_snapshot(),
+    }
+}
+
+/// What one read op observed.
+#[derive(Debug, PartialEq)]
+enum Read {
+    Hull(Vec<(u64, u64)>),
+    Bound(Option<u64>),
+    Query(AnswerBits),
+}
+
+fn read(w: &WindowedSummary, op: &Op) -> Option<Read> {
+    match op {
+        Op::ReadHull => Some(Read::Hull(hull_bits(w.hull_ref()))),
+        Op::ReadBound => Some(Read::Bound(w.error_bound().map(f64::to_bits))),
+        Op::ReadQuery => Some(Read::Query(answer_bits(&w.query_window()))),
+        _ => None,
+    }
 }
 
 proptest! {
@@ -264,6 +372,106 @@ proptest! {
         for &v in ans_a.hull().vertices() {
             prop_assert!(exact_all.hull_ref().contains_linear(v));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn cached_reads_match_a_never_read_twin(
+        ops in prop::collection::vec(op_strategy(), 1..48),
+        kind_idx in 0usize..8,
+        by_time in 0u8..2,
+        span in 2u64..60,
+        (g, k) in chain_strategy(),
+    ) {
+        // Reads interleave with every insert path. Each read must equal,
+        // bit for bit, the same read of a twin fed the same inserts and
+        // read only once, at the end: a stale cached answer (an insert
+        // path that forgot to invalidate) shows up as a mismatch.
+        let kind = SummaryKind::ALL[kind_idx % SummaryKind::ALL.len()];
+        let policy = if by_time == 0 {
+            WindowConfig::last_n(span)
+        } else {
+            WindowConfig::last_dur(span as f64 * 0.5)
+        };
+        let config = policy.with_granularity(g).with_buckets_per_level(k);
+        let builder = SummaryBuilder::new(kind).with_r(8);
+        let mut w = builder.windowed(config);
+        for (i, op) in ops.iter().enumerate() {
+            apply(&mut w, op);
+            let Some(got) = read(&w, op) else { continue };
+            let mut twin = builder.windowed(config);
+            for earlier in &ops[..i] {
+                apply(&mut twin, earlier);
+            }
+            prop_assert_eq!(
+                &got,
+                &read(&twin, op).expect("same op reads"),
+                "{}: read at step {} ({:?})", kind, i, op
+            );
+        }
+    }
+}
+
+#[test]
+fn repeated_reads_share_one_collector_until_an_insert() {
+    let mut w = SummaryBuilder::new(SummaryKind::Adaptive)
+        .with_r(16)
+        .windowed(WindowConfig::last_n(300).with_granularity(32));
+    let pts: Vec<Point2> = (0..1000)
+        .map(|i| Point2::new((i as f64 * 0.37).cos() * i as f64, (i as f64 * 0.37).sin()))
+        .collect();
+    w.insert_batch(&pts[..900]);
+    let first = w.query_window();
+    let hull = w.hull_ref() as *const ConvexPolygon;
+    let _ = w.error_bound();
+    let again = w.query_window();
+    assert!(
+        std::sync::Arc::ptr_eq(&first.summary, &again.summary),
+        "reads of one window state must share the collector"
+    );
+    assert!(std::ptr::eq(hull, w.hull_ref()), "hull_ref is stable");
+    assert!(
+        std::ptr::eq(hull, again.hull()),
+        "hull_ref is the answer's hull"
+    );
+    w.insert(pts[900]);
+    let after = w.query_window();
+    assert!(
+        !std::sync::Arc::ptr_eq(&first.summary, &after.summary),
+        "an insert must start a new answer"
+    );
+    // A clone handed out before the insert still reads the old state.
+    assert_eq!(first.merged_points + 1, after.merged_points);
+    assert_eq!(answer_bits(&first), answer_bits(&again));
+}
+
+#[test]
+fn windowed_run_answer_equals_a_never_read_run() {
+    let pts: Vec<Point2> = (0..3000)
+        .map(|i| {
+            let t = i as f64 * 0.11;
+            Point2::new(t.cos() * 5.0 + i as f64 * 0.02, t.sin() * 2.0)
+        })
+        .collect();
+    for &kind in &SummaryKind::ALL {
+        let engine = ShardedIngest::new(SummaryBuilder::new(kind).with_r(16), 2).with_chunk(64);
+        let config = WindowConfig::last_n(700).with_granularity(32);
+        let read = engine.run_stream_windowed(pts.iter().copied(), config);
+        let first = read.query_window();
+        let again = read.query_window();
+        assert!(
+            std::sync::Arc::ptr_eq(&first.summary, &again.summary),
+            "{kind}: a run merges once"
+        );
+        let fresh = engine.run_stream_windowed(pts.iter().copied(), config);
+        assert_eq!(
+            answer_bits(&again),
+            answer_bits(&fresh.query_window()),
+            "{kind}: cached run answer differs from a fresh run's first"
+        );
     }
 }
 
