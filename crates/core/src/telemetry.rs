@@ -1016,7 +1016,8 @@ pub mod names {
     pub const TENANT_POINTS_SHED: &str = "streamhull_tenant_points_shed_total";
     /// Points refused with a typed error.
     pub const TENANT_POINTS_REJECTED: &str = "streamhull_tenant_points_rejected_total";
-    /// Spill / restore operations (`kind` label: `spill` / `restore`).
+    /// Tier operations (`kind` label: `spill` / `restore` /
+    /// `cold_write`, a write logged beside a cold envelope).
     pub const TENANT_TIER_OPS: &str = "streamhull_tenant_tier_ops_total";
     /// Bytes moved by spill / restore (`kind` label).
     pub const TENANT_TIER_BYTES: &str = "streamhull_tenant_tier_bytes_total";

@@ -19,10 +19,17 @@
 //!   [`PressureReport`], the resource-pressure mirror of
 //!   [`crate::recovery::RecoveryReport`].
 //! * **Hot/cold tiering** — idle streams spill to
-//!   [`snapshot`] envelopes on an idle-tick policy and
-//!   restore bit-exactly on touch. A corrupt or truncated spill is caught
-//!   by the hardened decode path and quarantines *only that tenant*; every
-//!   other stream keeps serving.
+//!   [`snapshot`] envelopes on an idle-tick policy. A write to a cold
+//!   stream does not wake it: its points go to a per-stream write log
+//!   kept beside the envelope, and the next read decodes the envelope and
+//!   replays the log with one `insert_batch`. The summaries are one-pass
+//!   and batch ≡ loop, and restore is bit-exact, so restore plus log
+//!   replay is indistinguishable from never spilling. A log never takes
+//!   the engine past its budget, and budget relief folds logs into fresh
+//!   envelopes before the overload policy evicts or refuses. A corrupt or
+//!   truncated spill is caught by the hardened decode path (whose
+//!   checksum pass every logged write also runs) and quarantines *only
+//!   that tenant*; every other stream keeps serving.
 //! * **Shared immutable tables** — the frozen direction fan is a pure
 //!   function of `(r, seed)`; the engine builds it once and shares the
 //!   allocation across every stream of that configuration (and re-interns
@@ -178,7 +185,9 @@ impl std::error::Error for AdmissionError {}
 pub enum Tier {
     /// Live summary in memory.
     Hot,
-    /// Spilled to a snapshot envelope; restores bit-exactly on touch.
+    /// Spilled to a snapshot envelope. Writes append to a log beside it;
+    /// the next read restores the envelope and replays the log, which is
+    /// indistinguishable from never spilling.
     Cold,
     /// Its envelope failed the hardened decode; refuses to serve.
     Quarantined,
@@ -277,6 +286,9 @@ pub struct PressureReport {
     pub spills: u64,
     /// Cold → hot transitions.
     pub restores: u64,
+    /// Writes taken by a cold tenant's write log without restoring it
+    /// (counted once the budget has settled).
+    pub cold_writes: u64,
     /// Total envelope bytes written by spills.
     pub spilled_bytes: u64,
     /// Bounded event log, oldest first. The bound is
@@ -315,8 +327,9 @@ pub struct TenantStats {
     pub stream: StreamId,
     /// Where its state lives right now.
     pub tier: Tier,
-    /// Accounted footprint (hot: `approx_bytes`; cold: envelope length;
-    /// quarantined: 0 — the poisoned envelope is dropped).
+    /// Accounted footprint (hot: `approx_bytes`; cold: envelope length
+    /// plus `size_of::<Point2>()` per logged point; quarantined: 0 — the
+    /// poisoned envelope is dropped).
     pub bytes: usize,
     /// Finite points offered (`== ingested + shed`).
     pub seen: u64,
@@ -476,6 +489,7 @@ struct Ledger {
     points_rejected: Tally,
     spills: Tally,
     restores: Tally,
+    cold_writes: Tally,
     spilled_bytes: Tally,
     events_dropped: Tally,
     bytes_in_use: Level,
@@ -501,6 +515,7 @@ impl Ledger {
             points_rejected: tally(names::TENANT_POINTS_REJECTED, &[]),
             spills: tally(names::TENANT_TIER_OPS, &[("kind", "spill")]),
             restores: tally(names::TENANT_TIER_OPS, &[("kind", "restore")]),
+            cold_writes: tally(names::TENANT_TIER_OPS, &[("kind", "cold_write")]),
             spilled_bytes: tally(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
             events_dropped: tally(names::TENANT_EVENTS_DROPPED, &[]),
             bytes_in_use: level(names::TENANT_BYTES_IN_USE),
@@ -521,25 +536,52 @@ impl Ledger {
     }
 }
 
-/// A Reject-policy write's undo record: the tenant's pre-write envelope
-/// and per-tenant counts.
-struct Undo {
-    envelope: Vec<u8>,
-    seen: u64,
-    ingested: u64,
+/// Accounted bytes per point held in a cold tenant's write log.
+const LOGGED_POINT_BYTES: usize = std::mem::size_of::<Point2>();
+
+/// How a Reject-policy write the budget refused is taken back. Only a
+/// write that went hot can be refused: a logged write never takes the
+/// engine past its budget.
+enum Undo {
+    /// The tenant was hot: its pre-write envelope, decoded back.
+    Hot(Vec<u8>),
+    /// The tenant was cold: its envelope and write log, put back as they
+    /// were.
+    Cold(Residency),
 }
 
 enum Residency {
     Hot(Box<dyn Mergeable + Send + Sync>),
-    Cold(Vec<u8>),
+    /// The spilled envelope, and the points written since the spill in
+    /// arrival order, not yet replayed.
+    Cold {
+        envelope: Vec<u8>,
+        log: Vec<Point2>,
+    },
     Quarantined(SnapshotError),
 }
 
 impl Residency {
+    fn cold(envelope: Vec<u8>) -> Residency {
+        Residency::Cold {
+            envelope,
+            log: Vec::new(),
+        }
+    }
+
+    /// Accounted footprint: see [`TenantStats::bytes`].
+    fn bytes(&self) -> usize {
+        match self {
+            Residency::Hot(s) => s.approx_bytes(),
+            Residency::Cold { envelope, log } => envelope.len() + log.len() * LOGGED_POINT_BYTES,
+            Residency::Quarantined(_) => 0,
+        }
+    }
+
     fn tier(&self) -> Tier {
         match self {
             Residency::Hot(_) => Tier::Hot,
-            Residency::Cold(_) => Tier::Cold,
+            Residency::Cold { .. } => Tier::Cold,
             Residency::Quarantined(_) => Tier::Quarantined,
         }
     }
@@ -549,7 +591,9 @@ impl fmt::Debug for Residency {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Residency::Hot(s) => write!(f, "Hot({})", s.name()),
-            Residency::Cold(b) => write!(f, "Cold({} B)", b.len()),
+            Residency::Cold { envelope, log } => {
+                write!(f, "Cold({} B, {} logged)", envelope.len(), log.len())
+            }
             Residency::Quarantined(e) => write!(f, "Quarantined({e})"),
         }
     }
@@ -651,7 +695,8 @@ impl TenantEngine {
     }
 
     /// Accounted bytes across all tenants (hot summaries at
-    /// `approx_bytes`, cold envelopes at their length).
+    /// `approx_bytes`, cold envelopes at their length plus their write
+    /// logs).
     pub fn bytes_in_use(&self) -> usize {
         self.ledger.bytes_in_use.get()
     }
@@ -712,6 +757,7 @@ impl TenantEngine {
             points_rejected: l.points_rejected.get(),
             spills: l.spills.get(),
             restores: l.restores.get(),
+            cold_writes: l.cold_writes.get(),
             spilled_bytes: l.spilled_bytes.get(),
             events: self.events.clone(),
             events_dropped: l.events_dropped.get(),
@@ -751,16 +797,11 @@ impl TenantEngine {
                 }
                 OverloadPolicy::ShedOldest => {
                     // Shed the oldest points of the batch; tally them on
-                    // their tenants (admitting cheaply where possible).
+                    // their tenants (admitting cheaply where possible), in
+                    // first-appearance order like the writes below.
                     start = traffic.len() - cap;
-                    let mut shed_by: HashMap<StreamId, u64> = HashMap::new();
-                    for &(id, p) in &traffic[..start] {
-                        if p.is_finite() {
-                            *shed_by.entry(id).or_insert(0) += 1;
-                        }
-                    }
-                    for (id, n) in shed_by {
-                        self.shed_points(id, n);
+                    for (id, pts) in group_by_stream(&traffic[..start]) {
+                        self.shed_points(id, pts.iter().filter(|p| p.is_finite()).count() as u64);
                     }
                 }
                 // Degrading relieves memory, not arrival rate: take the
@@ -768,20 +809,7 @@ impl TenantEngine {
                 OverloadPolicy::DegradeToCoarser => {}
             }
         }
-        // Group per stream, preserving first-appearance order.
-        let mut order: Vec<StreamId> = Vec::new();
-        let mut groups: HashMap<StreamId, Vec<Point2>> = HashMap::new();
-        for &(id, p) in &traffic[start..] {
-            match groups.entry(id) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(p),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(id);
-                    e.insert(vec![p]);
-                }
-            }
-        }
-        for id in order {
-            let pts = groups.remove(&id).unwrap_or_default();
+        for (id, pts) in group_by_stream(&traffic[start..]) {
             match self.write(id, &pts) {
                 Ok(()) => {}
                 Err(e) if self.config.policy == OverloadPolicy::Reject => return Err(e),
@@ -831,10 +859,11 @@ impl TenantEngine {
     }
 
     /// The spilled envelope of a cold stream (`None` when hot, unknown, or
-    /// quarantined) — the chaos hooks' read side.
+    /// quarantined) — the chaos hooks' read side. It is the envelope as
+    /// spilled: points written since sit in the write log beside it.
     pub fn spilled_bytes(&self, id: StreamId) -> Option<&[u8]> {
         match &self.tenant(id)?.residency {
-            Residency::Cold(bytes) => Some(bytes),
+            Residency::Cold { envelope, .. } => Some(envelope),
             _ => None,
         }
     }
@@ -855,7 +884,7 @@ impl TenantEngine {
             return false;
         };
         match &mut t.residency {
-            Residency::Cold(bytes) => match bytes.get_mut(offset) {
+            Residency::Cold { envelope, .. } => match envelope.get_mut(offset) {
                 Some(b) => {
                     *b ^= mask;
                     true
@@ -876,19 +905,19 @@ impl TenantEngine {
             return false;
         };
         match &mut t.residency {
-            Residency::Cold(bytes) if bytes.len() > len => {
-                let before = bytes.len();
-                t.bytes = len;
-                bytes.truncate(len);
-                self.account_bytes(before, len);
+            Residency::Cold { envelope, .. } if envelope.len() > len => {
+                envelope.truncate(len);
+                let after = t.residency.bytes();
+                let before = std::mem::replace(&mut t.bytes, after);
+                self.account_bytes(before, after);
                 true
             }
             _ => false,
         }
     }
 
-    /// Borrows a stream's summary, restoring it from its envelope first if
-    /// cold (bit-exact) and touching its idle clock.
+    /// Borrows a stream's summary, restoring it first if cold (envelope
+    /// plus write-log replay, bit-exact) and touching its idle clock.
     pub fn summary(&mut self, id: StreamId) -> Result<&dyn HullSummary, AdmissionError> {
         let idx = self.lookup(id)?;
         self.make_hot(idx)?;
@@ -1287,7 +1316,7 @@ impl TenantEngine {
         if !force && env_len >= freed {
             return false;
         }
-        t.residency = Residency::Cold(envelope);
+        t.residency = Residency::cold(envelope);
         t.bytes = env_len;
         let id = t.id;
         self.retier(Some(Tier::Hot), Some(Tier::Cold));
@@ -1298,7 +1327,10 @@ impl TenantEngine {
         true
     }
 
-    /// Cold → hot (bit-exact), quarantining the tenant on a failed decode.
+    /// Cold → hot, the one restore path: decodes the envelope and replays
+    /// the write log with one `insert_batch` (bit-exact, by bit-exact
+    /// restore plus batch ≡ loop), quarantining the tenant on a failed
+    /// decode.
     fn make_hot(&mut self, idx: usize) -> Result<(), AdmissionError> {
         let (id, envelope_len, decoded) = match self.slots.get(idx).and_then(|s| s.as_ref()) {
             Some(t) => match &t.residency {
@@ -1309,7 +1341,13 @@ impl TenantEngine {
                         error: e.clone(),
                     })
                 }
-                Residency::Cold(bytes) => (t.id, bytes.len(), self.decode_interned(bytes)),
+                Residency::Cold { envelope, log } => {
+                    let decoded = self.decode_interned(envelope).map(|mut s| {
+                        s.insert_batch(log);
+                        s
+                    });
+                    (t.id, envelope.len(), decoded)
+                }
             },
             None => {
                 return Err(AdmissionError::UnknownStream {
@@ -1337,25 +1375,27 @@ impl TenantEngine {
                 );
                 Ok(())
             }
-            Err(error) => {
-                // Quarantine exactly this tenant: drop the poisoned
-                // envelope, keep the error, keep serving everyone else.
-                if let Some(Some(t)) = self.slots.get_mut(idx) {
-                    let before = std::mem::take(&mut t.bytes);
-                    t.residency = Residency::Quarantined(error.clone());
-                    self.account_bytes(before, 0);
-                }
-                self.retier(Some(Tier::Cold), Some(Tier::Quarantined));
-                self.ledger.streams_quarantined.add(1);
-                self.push_event(
-                    id,
-                    PressureAction::Quarantined {
-                        error: error.clone(),
-                    },
-                );
-                Err(AdmissionError::Quarantined { stream: id, error })
-            }
+            Err(error) => Err(self.quarantine(idx, id, error)),
         }
+    }
+
+    /// Quarantines exactly this cold tenant: drops the poisoned envelope
+    /// and its log, keeps the error, keeps serving everyone else.
+    fn quarantine(&mut self, idx: usize, id: StreamId, error: SnapshotError) -> AdmissionError {
+        if let Some(Some(t)) = self.slots.get_mut(idx) {
+            let before = std::mem::take(&mut t.bytes);
+            t.residency = Residency::Quarantined(error.clone());
+            self.account_bytes(before, 0);
+        }
+        self.retier(Some(Tier::Cold), Some(Tier::Quarantined));
+        self.ledger.streams_quarantined.add(1);
+        self.push_event(
+            id,
+            PressureAction::Quarantined {
+                error: error.clone(),
+            },
+        );
+        AdmissionError::Quarantined { stream: id, error }
     }
 
     /// Records `n` finite points offered to `id` as shed (admitting the
@@ -1376,10 +1416,12 @@ impl TenantEngine {
         self.push_event(id, PressureAction::ShedPoints { points: n });
     }
 
-    /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`.
-    /// The write's points (and a new stream's admission) reach the ledger
-    /// only once the budget has settled, so a Reject-policy rollback
-    /// never has a tally to take back.
+    /// The single write path behind `insert`/`insert_batch`/`ingest_bulk`:
+    /// a cold tenant's write is logged while the log fits and adds no
+    /// pressure, any other goes hot. The write's points (and a new
+    /// stream's admission) reach the ledger only once the budget has
+    /// settled, so a Reject-policy rollback never has a tally to take
+    /// back.
     fn write(&mut self, id: StreamId, points: &[Point2]) -> Result<(), AdmissionError> {
         // Non-finite points are silently dropped up front — the same
         // contract every summary honours — so the engine ledger counts
@@ -1410,54 +1452,23 @@ impl TenantEngine {
             self.ledger.streams_admitted.add(u64::from(fresh));
             return settled;
         }
-        let was_cold = matches!(
-            self.slots
-                .get(idx)
-                .and_then(|s| s.as_ref())
-                .map(|t| &t.residency),
-            Some(Residency::Cold(_))
-        );
-        self.make_hot(idx)?;
-        // A Reject-policy engine may only discover the breach *after* the
-        // summary absorbed the batch (growth is not predictable up front),
-        // so it keeps a pre-write envelope and undoes the whole write —
-        // bit-exactly, restores being lossless — when enforcement fails.
-        let undo = if self.config.policy == OverloadPolicy::Reject
-            && self.config.budget_bytes != 0
-            && !fresh
-        {
-            match self.slots.get(idx).and_then(|s| s.as_ref()) {
-                Some(Tenant {
-                    residency: Residency::Hot(s),
-                    seen,
-                    ingested,
-                    ..
-                }) => Some(Undo {
-                    envelope: s.encode_snapshot(),
-                    seen: *seen,
-                    ingested: *ingested,
-                }),
-                _ => None,
-            }
-        } else {
+        // A Reject-policy engine may only discover the breach *after* a
+        // hot write ran (growth is not predictable up front), so that write
+        // returns what it takes to undo it bit-exactly; a fresh stream's
+        // refused first write is undone by forgetting the stream.
+        let reversible =
+            self.config.policy == OverloadPolicy::Reject && self.config.budget_bytes != 0 && !fresh;
+        let logged = self.write_cold(idx, points)?;
+        let undo = if logged {
             None
+        } else {
+            self.write_hot(idx, points, reversible)?
         };
-        if let Some(Some(t)) = self.slots.get_mut(idx) {
-            if let Residency::Hot(s) = &mut t.residency {
-                let before = t.bytes;
-                s.insert_batch(points);
-                let after = s.approx_bytes();
-                t.bytes = after;
-                t.seen += n;
-                t.ingested += n;
-                self.account_bytes(before, after);
-            }
-        }
         self.touch(idx);
         let settled = self.enforce_budget(Some(idx));
         if settled.is_err() {
             let rolled_back = match undo {
-                Some(undo) => self.unwrite(idx, undo, was_cold, n),
+                Some(undo) => self.unwrite(idx, undo, n),
                 None => fresh && self.forget_admission(id, n),
             };
             if rolled_back {
@@ -1470,7 +1481,87 @@ impl TenantEngine {
         self.ledger.streams_admitted.add(u64::from(fresh));
         self.ledger.points_seen.add(n);
         self.ledger.points_ingested.add(n);
+        self.ledger.cold_writes.add(u64::from(logged));
         settled
+    }
+
+    /// Appends a write to a cold tenant's log instead of restoring it.
+    /// The log stays within the envelope's own length, and never adds
+    /// pressure: a write whose log growth would take the engine past its
+    /// budget, or the tenant to its cap, goes hot instead, so the budget
+    /// ladder meets it exactly as it would a restore. The envelope's
+    /// checksum pass (the one a restore starts with) still runs, so a
+    /// corrupt tenant is quarantined at this call, as a restore would.
+    /// `true` when logged; `false` sends the write hot.
+    fn write_cold(&mut self, idx: usize, points: &[Point2]) -> Result<bool, AdmissionError> {
+        let grow = points.len() * LOGGED_POINT_BYTES;
+        let budget = self.config.budget_bytes;
+        let cap = self.config.tenant_cap_bytes;
+        let in_use = self.bytes_in_use();
+        let Some(Some(t)) = self.slots.get_mut(idx) else {
+            return Ok(false);
+        };
+        let Residency::Cold { envelope, log } = &mut t.residency else {
+            return Ok(false);
+        };
+        if log.len() * LOGGED_POINT_BYTES + grow > envelope.len()
+            || (budget != 0 && in_use + grow > budget)
+            || (cap != 0 && t.bytes + grow >= cap)
+        {
+            return Ok(false);
+        }
+        if let Err(error) = snapshot::open_summary(envelope).map(|_| ()) {
+            let id = t.id;
+            return Err(self.quarantine(idx, id, error));
+        }
+        // Exact growth, so the allocation is the accounted log.
+        log.reserve_exact(points.len());
+        log.extend_from_slice(points);
+        let n = points.len() as u64;
+        let before = t.bytes;
+        t.bytes += grow;
+        t.seen += n;
+        t.ingested += n;
+        let after = t.bytes;
+        self.account_bytes(before, after);
+        Ok(true)
+    }
+
+    /// Restores the tenant if cold and feeds it `points`. When
+    /// `reversible`, first keeps the pre-write state for [`Self::unwrite`].
+    fn write_hot(
+        &mut self,
+        idx: usize,
+        points: &[Point2],
+        reversible: bool,
+    ) -> Result<Option<Undo>, AdmissionError> {
+        let undo_cold = match self.slots.get(idx).and_then(|s| s.as_ref()) {
+            Some(Tenant {
+                residency: Residency::Cold { envelope, log },
+                ..
+            }) if reversible => Some(Undo::Cold(Residency::Cold {
+                envelope: envelope.clone(),
+                log: log.clone(),
+            })),
+            _ => None,
+        };
+        self.make_hot(idx)?;
+        let Some(Some(t)) = self.slots.get_mut(idx) else {
+            return Ok(None);
+        };
+        let Residency::Hot(s) = &mut t.residency else {
+            return Ok(None);
+        };
+        let undo = undo_cold.or_else(|| reversible.then(|| Undo::Hot(s.encode_snapshot())));
+        let n = points.len() as u64;
+        let before = t.bytes;
+        s.insert_batch(points);
+        let after = s.approx_bytes();
+        t.bytes = after;
+        t.seen += n;
+        t.ingested += n;
+        self.account_bytes(before, after);
+        Ok(undo)
     }
 
     /// The per-tenant cap gate. `Some` when the gate settles the write
@@ -1511,49 +1602,38 @@ impl TenantEngine {
         Some(Ok(()))
     }
 
-    /// Undoes one rejected write by restoring the tenant's pre-write
-    /// state (bit-exact: the hot summary decoded from the envelope, or
-    /// the envelope itself if the tenant was cold before the write, plus
-    /// its per-tenant counts) and recording the points as rejected.
-    /// `false` (nothing undone) only if the pre-write envelope fails to
-    /// decode — it was encoded from live state moments ago, so that path
-    /// is effectively unreachable, and the engine then keeps the ingested
-    /// state rather than corrupt it.
-    fn unwrite(&mut self, idx: usize, undo: Undo, was_cold: bool, n: u64) -> bool {
-        let summary = if was_cold {
-            None
-        } else {
-            match self.decode_interned(&undo.envelope) {
-                Ok(s) => Some(s),
+    /// Undoes one rejected write of `n` points and records them as
+    /// rejected: a tenant hot before the write gets its pre-write summary
+    /// back, decoded from the envelope; a tenant cold before it gets its
+    /// envelope and write log back as they were, so the restore the write
+    /// forced does not leak footprint past the refusal. The per-tenant
+    /// counts go back by the `n` the write added. `false` (nothing undone)
+    /// only if the pre-write envelope fails to decode — it was encoded
+    /// from live state moments ago, so that path is effectively
+    /// unreachable, and the engine then keeps the ingested state rather
+    /// than corrupt it.
+    fn unwrite(&mut self, idx: usize, undo: Undo, n: u64) -> bool {
+        let (residency, epoch) = match undo {
+            Undo::Hot(envelope) => match self.decode_interned(&envelope) {
+                Ok(s) => (Residency::Hot(s), Some(self.fresh_epoch())),
                 Err(_) => return false,
-            }
+            },
+            Undo::Cold(residency) => (residency, None),
         };
-        let epoch = self.fresh_epoch();
         let Some(Some(t)) = self.slots.get_mut(idx) else {
             return false;
         };
         let id = t.id;
         let before = t.bytes;
         let tier_now = t.residency.tier();
-        let (after, tier) = match summary {
-            // Hot before the write: back to the decoded pre-write summary.
-            Some(s) => {
-                let after = s.approx_bytes();
-                t.residency = Residency::Hot(s);
-                t.epoch = epoch;
-                (after, Tier::Hot)
-            }
-            // Cold before the write: back to the envelope, so the restore
-            // the write forced does not leak footprint past the refusal.
-            None => {
-                let after = undo.envelope.len();
-                t.residency = Residency::Cold(undo.envelope);
-                (after, Tier::Cold)
-            }
-        };
-        t.bytes = after;
-        t.seen = undo.seen;
-        t.ingested = undo.ingested;
+        t.bytes = residency.bytes();
+        t.residency = residency;
+        if let Some(epoch) = epoch {
+            t.epoch = epoch;
+        }
+        t.seen -= n;
+        t.ingested -= n;
+        let (after, tier) = (t.bytes, t.residency.tier());
         self.retier(Some(tier_now), Some(tier));
         self.account_bytes(before, after);
         self.ledger.points_rejected.add(n);
@@ -1608,17 +1688,73 @@ impl TenantEngine {
             .map(|(_, _, i)| i)
     }
 
+    /// Spill relief, down to the low-water mark: spills hot tenants
+    /// coldest-first, then, if that is not enough, folds cold tenants'
+    /// write logs into fresh envelopes coldest-first. Folding a log is the
+    /// restore and spill its writes would have cost had they gone hot, so
+    /// the logs never make the ladder evict or refuse where restoring on
+    /// every write would not have.
     fn spill_coldest_until_under(&mut self) {
         let target = self.low_water();
         if self.bytes_in_use() <= target {
             return;
         }
-        for idx in self.coldness_order() {
-            if self.bytes_in_use() <= target {
-                break;
+        let order = self.coldness_order();
+        for fold in [false, true] {
+            for &idx in &order {
+                if self.bytes_in_use() <= target {
+                    return;
+                }
+                if fold {
+                    self.fold_log(idx);
+                } else {
+                    self.spill_slot(idx);
+                }
             }
-            self.spill_slot(idx);
         }
+    }
+
+    /// Cold with a write log → cold with one fresh envelope holding it,
+    /// when that is smaller: decodes the envelope, replays the log and
+    /// re-encodes, which the ledger counts as the restore and spill it
+    /// replaces. A corrupt envelope quarantines the tenant here, as any
+    /// restore would.
+    fn fold_log(&mut self, idx: usize) {
+        let Some(Some(t)) = self.slots.get(idx) else {
+            return;
+        };
+        let Residency::Cold { envelope, log } = &t.residency else {
+            return;
+        };
+        if log.is_empty() {
+            return;
+        }
+        let (id, old_len) = (t.id, envelope.len());
+        let folded = match self.decode_interned(envelope) {
+            Ok(mut s) => {
+                s.insert_batch(log);
+                s.encode_snapshot()
+            }
+            Err(error) => {
+                self.quarantine(idx, id, error);
+                return;
+            }
+        };
+        let Some(Some(t)) = self.slots.get_mut(idx) else {
+            return;
+        };
+        let (before, after) = (t.bytes, folded.len());
+        if after >= before {
+            return;
+        }
+        t.residency = Residency::cold(folded);
+        t.bytes = after;
+        self.account_bytes(before, after);
+        self.ledger.restores.add(1);
+        self.ledger.spills.add(1);
+        self.ledger.spilled_bytes.add(after as u64);
+        self.push_event(id, PressureAction::Restored { bytes: old_len });
+        self.push_event(id, PressureAction::Spilled { bytes: after });
     }
 
     fn evict_slot(&mut self, idx: usize) {
@@ -1682,7 +1818,8 @@ impl TenantEngine {
     }
 
     /// The graceful-degradation ladder, run after every write: spill idle
-    /// state first (free — restores are bit-exact), then apply the policy:
+    /// state and fold write logs first (free — restores are bit-exact),
+    /// then apply the policy:
     /// `Reject` errors, `ShedOldest` evicts coldest-first, and
     /// `DegradeToCoarser` swaps backends coldest-first, evicting only if
     /// even the fully degraded fleet cannot fit. On success the engine is
@@ -1748,6 +1885,20 @@ impl TenantEngine {
             }
         }
     }
+}
+
+/// Bulk traffic grouped per stream, in first-appearance order.
+fn group_by_stream(traffic: &[(StreamId, Point2)]) -> Vec<(StreamId, Vec<Point2>)> {
+    let mut group_of: HashMap<StreamId, usize, FxBuild> = HashMap::default();
+    let mut groups: Vec<(StreamId, Vec<Point2>)> = Vec::new();
+    for &(id, p) in traffic {
+        let g = *group_of.entry(id).or_insert_with(|| {
+            groups.push((id, Vec::new()));
+            groups.len() - 1
+        });
+        groups[g].1.push(p);
+    }
+    groups
 }
 
 /// SplitMix64 — the workspace's standard seed mixer, here routing stream
@@ -1879,6 +2030,7 @@ impl ShardedTenants {
             total.points_rejected += r.points_rejected;
             total.spills += r.spills;
             total.restores += r.restores;
+            total.cold_writes += r.cold_writes;
             total.spilled_bytes += r.spilled_bytes;
             total.events_dropped += r.events_dropped;
             total.events.extend(r.events);
@@ -2336,6 +2488,10 @@ mod tests {
         assert_eq!(
             scrape.counter_with(names::TENANT_TIER_OPS, &[("kind", "restore")]),
             Some(report.restores)
+        );
+        assert_eq!(
+            scrape.counter_with(names::TENANT_TIER_OPS, &[("kind", "cold_write")]),
+            Some(report.cold_writes)
         );
         assert_eq!(
             scrape.counter_with(names::TENANT_TIER_BYTES, &[("kind", "spill")]),

@@ -103,6 +103,11 @@ fn assert_scrape_matches_report(scrape: &Scrape, report: &PressureReport) {
         "restores disagree"
     );
     assert_eq!(
+        scrape.counter_with(names::TENANT_TIER_OPS, &[("kind", "cold_write")]),
+        Some(report.cold_writes),
+        "cold writes disagree"
+    );
+    assert_eq!(
         scrape.counter_with(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
         Some(report.spilled_bytes),
         "spilled bytes disagree"

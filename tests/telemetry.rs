@@ -375,6 +375,10 @@ fn assert_scrape_matches_report(scrape: &Scrape, report: &PressureReport) {
         Some(report.restores)
     );
     assert_eq!(
+        scrape.counter_with(names::TENANT_TIER_OPS, &[("kind", "cold_write")]),
+        Some(report.cold_writes)
+    );
+    assert_eq!(
         scrape.counter_with(names::TENANT_TIER_BYTES, &[("kind", "spill")]),
         Some(report.spilled_bytes)
     );
